@@ -8,9 +8,10 @@
 //     once and passing core::Prehashed down;
 //   * read-side section cost: one epoch enter/exit per key vs one per batch
 //     (nested sections degrade to a nesting-counter bump), i.e. what the
-//     engine's GetMany shard-group batching buys per key.
+//     engine's multi-get shard-group batching buys per key.
 // The engine-level pair at the bottom measures the same two effects
-// end-to-end through RpEngine::Get vs RpEngine::GetMany.
+// end-to-end through RpEngine::Get vs RpEngine::GetManyScratch, the
+// multi-get path the wire takes.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -163,7 +164,7 @@ void BM_EpochSectionPerBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochSectionPerBatch);
 
-// -- End-to-end: engine Get loop vs GetMany -----------------------------------
+// -- End-to-end: engine Get loop vs GetManyScratch ----------------------------
 
 rp::memcache::RpEngine& PopulatedEngine() {
   static rp::memcache::RpEngine engine([] {
@@ -193,24 +194,27 @@ void BM_EngineGetPerKey(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineGetPerKey);
 
-void BM_EngineGetMany(benchmark::State& state) {
+void BM_EngineGetManyScratch(benchmark::State& state) {
   rp::memcache::RpEngine& engine = PopulatedEngine();
   const std::vector<std::string> keys = MakeKeys();
   rp::Xoshiro256 rng(1);
   // string_views straight over the key set — the wire path's shape (no
   // per-key copies before the engine).
   std::vector<std::string_view> batch(kBatch);
-  std::vector<rp::memcache::MultiGetResult> results(kBatch);
+  std::vector<rp::memcache::ScratchGetResult> results(kBatch);
+  std::string scratch;
   for (auto _ : state) {
     for (std::size_t k = 0; k < kBatch; ++k) {
       batch[k] = keys[rng.NextBounded(kKeys)];
     }
-    engine.GetMany(batch.data(), kBatch, results.data());
+    scratch.clear();
+    engine.GetManyScratch(batch.data(), kBatch, results.data(), &scratch);
     benchmark::DoNotOptimize(results.data());
+    benchmark::DoNotOptimize(scratch.data());
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK(BM_EngineGetMany);
+BENCHMARK(BM_EngineGetManyScratch);
 
 }  // namespace
 

@@ -240,9 +240,10 @@ void ClusterProxy::ExecuteGet(const Request& request, std::string* out) {
     return;
   }
 
-  // Scatter-gather: the cluster analogue of GetMany's shard grouping. One
-  // batched `get` sub-request per owner (cluster_scatter_batches pins
-  // that), all sent before any response is awaited.
+  // Scatter-gather: the cluster analogue of GetManyScratch's shard
+  // grouping. One batched `get` sub-request per owner
+  // (cluster_scatter_batches pins that), all sent before any response is
+  // awaited.
   struct GetGroup {
     Backend* backend = nullptr;
     Request sub;

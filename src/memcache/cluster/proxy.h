@@ -11,10 +11,11 @@
 // item-state matrix through both to pin that).
 //
 // Multi-key gets scatter-gather: keys group by ring owner (the cluster
-// analogue of GetMany's shard grouping), each backend gets ONE batched
-// `get` sub-request — pinned by the cluster_scatter_batches counter — and
-// the sends all happen before any response is awaited, overlapping the
-// backends' round trips. Responses reassemble in client key order.
+// analogue of GetManyScratch's shard grouping), each backend gets ONE
+// batched `get` sub-request — pinned by the cluster_scatter_batches
+// counter — and the sends all happen before any response is awaited,
+// overlapping the backends' round trips. Responses reassemble in client
+// key order.
 // Pipelined store bursts fan out the same way, riding each backend's
 // batched StoreMany wire path.
 //

@@ -13,6 +13,8 @@ namespace {
 
 StoreKind StoreKindOf(Op op) {
   switch (op) {
+    case Op::kDelete:
+      return StoreKind::kDelete;
     case Op::kSet:
       return StoreKind::kSet;
     case Op::kAdd:
@@ -87,33 +89,36 @@ void ExecuteRequest(CacheEngine& engine, const Request& request,
       if (request.keys.size() == 1) {
         StoredValue value;
         if (engine.Get(request.keys[0], &value)) {
-          AppendValueResponse(out, request.keys[0], value, with_cas);
+          AppendValueResponse(out, request.keys[0], value.data, value.flags,
+                              value.cas, with_cas);
         }
       } else {
-        // Batched multi-get: one engine call for the whole key list lets
-        // the engine amortize per-op costs (the RP engine opens a single
-        // read-side critical section per shard group). Keys go down as
-        // string_views over the parsed request — the engines' hashers and
-        // table lookups are transparent, so no key is copied per lookup.
+        // Batched multi-get: one GetManyScratch call for the whole key list
+        // lets the engine amortize per-op costs (the RP engine opens a
+        // single read-side critical section per shard group). Keys go down
+        // as string_views over the parsed request, and hit values come
+        // back in one scratch region — no per-key or per-hit strings.
         // Responses still go out in request order, misses silently
-        // skipped, per protocol. Thread-local scratch: slots (and their
-        // strings' capacity) are reused across requests, so steady-state
-        // batches allocate nothing here. Safe because ExecuteRequest
-        // never re-enters itself.
+        // skipped, per protocol. Thread-local scratch is reused across
+        // requests, so steady-state batches allocate nothing here. Safe
+        // because ExecuteRequest never re-enters itself.
         static thread_local std::vector<std::string_view> key_views;
-        static thread_local std::vector<MultiGetResult> results;
-        key_views.clear();
-        for (const std::string& key : request.keys) {
-          key_views.push_back(key);
-        }
+        static thread_local std::vector<ScratchGetResult> results;
+        static thread_local std::string scratch;
+        key_views.assign(request.keys.begin(), request.keys.end());
+        scratch.clear();
         if (results.size() < request.keys.size()) {
           results.resize(request.keys.size());
         }
-        engine.GetMany(key_views.data(), key_views.size(), results.data());
+        engine.GetManyScratch(key_views.data(), key_views.size(),
+                              results.data(), &scratch);
         for (std::size_t i = 0; i < request.keys.size(); ++i) {
-          if (results[i].hit) {
-            AppendValueResponse(out, request.keys[i], results[i].value,
-                                with_cas);
+          const ScratchGetResult& r = results[i];
+          if (r.hit) {
+            AppendValueResponse(
+                out, request.keys[i],
+                std::string_view(scratch.data() + r.data_offset, r.data_size),
+                r.flags, r.cas, with_cas);
           }
         }
       }
@@ -183,10 +188,18 @@ void ExecuteRequest(CacheEngine& engine, const Request& request,
       // byte.
       ExecuteMetaGetBatch(engine, &request, 1, out);
       return;
+    case Op::kSet:
+    case Op::kAdd:
+    case Op::kReplace:
+    case Op::kAppend:
+    case Op::kPrepend:
+    case Op::kCas:
+    case Op::kDelete:
     case Op::kMetaSet:
     case Op::kMetaDelete:
-      // Same unification for ms/md: the batch-of-one goes through the
-      // shared StoreOp mapping and meta response codec.
+      // Every store and delete is a batch of one: the shared StoreOp
+      // mapping, one engine.StoreMany, one response codec — so singleton
+      // and pipelined stores agree byte for byte.
       ExecuteStoreBatch(engine, &request, 1, out);
       return;
     case Op::kMetaArith: {
@@ -225,52 +238,6 @@ void ExecuteRequest(CacheEngine& engine, const Request& request,
   // temporary string on the common non-noreply path).
   const std::size_t mark = out->size();
   switch (request.op) {
-    case Op::kSet:
-      engine.Set(request.keys[0], request.data, request.flags, request.exptime);
-      out->append(kResponseStored);
-      break;
-    case Op::kAdd:
-      out->append(engine.Add(request.keys[0], request.data, request.flags,
-                             request.exptime) == StoreResult::kStored
-                      ? kResponseStored
-                      : kResponseNotStored);
-      break;
-    case Op::kReplace:
-      out->append(engine.Replace(request.keys[0], request.data, request.flags,
-                                 request.exptime) == StoreResult::kStored
-                      ? kResponseStored
-                      : kResponseNotStored);
-      break;
-    case Op::kAppend:
-      out->append(engine.Append(request.keys[0], request.data) ==
-                          StoreResult::kStored
-                      ? kResponseStored
-                      : kResponseNotStored);
-      break;
-    case Op::kPrepend:
-      out->append(engine.Prepend(request.keys[0], request.data) ==
-                          StoreResult::kStored
-                      ? kResponseStored
-                      : kResponseNotStored);
-      break;
-    case Op::kCas:
-      switch (engine.CheckAndSet(request.keys[0], request.data, request.flags,
-                                 request.exptime, request.cas)) {
-        case StoreResult::kStored:
-          out->append(kResponseStored);
-          break;
-        case StoreResult::kExists:
-          out->append(kResponseExists);
-          break;
-        default:
-          out->append(kResponseNotFound);
-          break;
-      }
-      break;
-    case Op::kDelete:
-      out->append(engine.Delete(request.keys[0]) ? kResponseDeleted
-                                                 : kResponseNotFound);
-      break;
     case Op::kIncr:
     case Op::kDecr: {
       const ArithResult result =
@@ -324,19 +291,14 @@ bool IsBatchableStore(const Request& request) {
 
 void ExecuteStoreBatch(CacheEngine& engine, const Request* requests,
                        std::size_t count, std::string* out) {
-  // Typical bursts fit the stack; only pathological pipelines spill.
-  constexpr std::size_t kInline = 64;
-  StoreOp inline_ops[kInline];
-  StoreResult inline_results[kInline];
-  std::vector<StoreOp> heap_ops;
-  std::vector<StoreResult> heap_results;
-  StoreOp* ops = inline_ops;
-  StoreResult* results = inline_results;
-  if (count > kInline) {
-    heap_ops.resize(count);
-    heap_results.resize(count);
-    ops = heap_ops.data();
-    results = heap_results.data();
+  // Thread-local slots reused across bursts: a steady-state burst (a lone
+  // store included) neither allocates nor re-initializes them. Safe
+  // because this function never re-enters itself.
+  static thread_local std::vector<StoreOp> ops;
+  static thread_local std::vector<StoreResult> results;
+  if (ops.size() < count) {
+    ops.resize(count);
+    results.resize(count);
   }
   std::uint64_t meta_sets = 0;
   std::uint64_t meta_deletes = 0;
@@ -359,16 +321,16 @@ void ExecuteStoreBatch(CacheEngine& engine, const Request* requests,
     op.exptime = request.exptime;
     op.cas = request.cas;
   }
-  engine.StoreMany(ops, count, results);
+  engine.StoreMany(ops.data(), count, results.data());
   if (meta_sets != 0) {
     engine.CountMetaCommand(CacheEngine::MetaCmd::kSet, meta_sets);
   }
   if (meta_deletes != 0) {
     engine.CountMetaCommand(CacheEngine::MetaCmd::kDelete, meta_deletes);
   }
-  // Wire responses, identical to the per-op ExecuteRequest paths: set
-  // always reports STORED, cas distinguishes EXISTS from NOT_FOUND, the
-  // rest map kStored/!kStored to STORED/NOT_STORED. Meta requests answer
+  // Wire responses: set always reports STORED, cas distinguishes EXISTS
+  // from NOT_FOUND, delete answers DELETED/NOT_FOUND, the rest map
+  // kStored/!kStored to STORED/NOT_STORED. Meta requests answer
   // in meta grammar over the same StoreResult (q suppresses bare HD;
   // failures always answer).
   for (std::size_t i = 0; i < count; ++i) {
@@ -383,6 +345,10 @@ void ExecuteStoreBatch(CacheEngine& engine, const Request* requests,
     switch (ops[i].kind) {
       case StoreKind::kSet:
         out->append(kResponseStored);
+        break;
+      case StoreKind::kDelete:
+        out->append(results[i] == StoreResult::kStored ? kResponseDeleted
+                                                       : kResponseNotFound);
         break;
       case StoreKind::kCas:
         switch (results[i]) {
@@ -470,12 +436,6 @@ void EngineHandler::Execute(const Request& request, std::string* out,
 
 void EngineHandler::ExecuteStores(const Request* requests, std::size_t count,
                                   std::string* out) {
-  if (count == 1) {
-    // A lone store skips the batch machinery entirely.
-    bool quit = false;
-    ExecuteRequest(engine_, requests[0], out, &quit);
-    return;
-  }
   ExecuteStoreBatch(engine_, requests, count, out);
 }
 

@@ -51,11 +51,13 @@ bool IsBatchableStore(const Request& request);
 
 // Executes a burst of storage requests as one engine.StoreMany call and
 // appends each request's wire response (noreply suppressed per op; meta
-// requests answer in meta grammar, with q suppressing bare HD) to *out,
-// byte-identical to running ExecuteRequest per request. The connection
-// uses this for pipelined store runs so the engine pays its per-batch
-// costs (one store-mutex acquisition per shard group) once. Every request
-// must satisfy IsBatchableStore.
+// requests answer in meta grammar, with q suppressing bare HD) to *out.
+// This is the one store path: ExecuteRequest runs every lone store here
+// as a burst of one, and the connection hands it pipelined store runs so
+// the engine pays its per-batch costs (one store-mutex acquisition per
+// shard group) once. Every request must satisfy IsBatchableStore or be a
+// classic delete, which also has a StoreOp form (the connection does not
+// collect classic deletes into bursts).
 void ExecuteStoreBatch(CacheEngine& engine, const Request* requests,
                        std::size_t count, std::string* out);
 
@@ -73,10 +75,10 @@ void ExecuteMetaGetBatch(CacheEngine& engine, const Request* requests,
 
 // Dispatch seam between the event-driven front end and whatever answers
 // requests behind it — a local engine (EngineHandler) or the cluster
-// routing proxy (cluster::ClusterProxy). A Connection calls Execute for
-// singleton requests and hands pipelined bursts to the batched entry
-// points, so every implementation sees the exact batch boundaries the wire
-// produced. Implementations must be thread-safe: one handler instance is
+// routing proxy (cluster::ClusterProxy). A Connection hands store and mg
+// runs (a lone one included) to the batched entry points and every other
+// request to Execute, so every implementation sees the exact batch
+// boundaries the wire produced. Implementations must be thread-safe: one handler instance is
 // shared by every worker's connections.
 class RequestHandler {
  public:
@@ -87,8 +89,8 @@ class RequestHandler {
   // when non-null, carries the server's connection gauges for `stats`.
   virtual void Execute(const Request& request, std::string* out, bool* quit,
                        const ServerConnectionStats* conn_stats) = 0;
-  // A pipelined burst of IsBatchableStore requests; responses append to
-  // *out in request order.
+  // A burst of IsBatchableStore requests, a lone store included;
+  // responses append to *out in request order.
   virtual void ExecuteStores(const Request* requests, std::size_t count,
                              std::string* out) = 0;
   // A pipelined run of mg requests; responses append in request order.
@@ -159,11 +161,10 @@ class Connection {
   // On quit, stops executing (remaining pipelined requests are dropped
   // per protocol) but keeps earlier responses so they flush before close.
   bool ExecuteBuffered();
-  // Executes the pending store burst (if any): one request goes down the
-  // plain per-op path, two or more become a single ExecuteStoreBatch.
-  // Called whenever the burst ends — a non-store request, a parse error,
-  // a backpressure pause, the batch cap, or the end of buffered input —
-  // so responses always leave in request order.
+  // Executes the pending store burst (if any) as one ExecuteStores call, a
+  // lone store included. Called whenever the burst ends — a non-store
+  // request, a parse error, a backpressure pause, the batch cap, or the
+  // end of buffered input — so responses always leave in request order.
   void FlushStoreBatch();
   // Same contract for the pending mg burst (one ExecuteMetaGetBatch). At
   // most one of the two batches is ever non-empty — each flushes the

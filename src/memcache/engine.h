@@ -11,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/memcache/item.h"
 #include "src/memcache/slab.h"
@@ -178,10 +179,9 @@ struct EngineStats {
   std::uint64_t slab_fallbacks = 0;
   // Configured max_bytes (0 = unlimited); the `stats` wire field.
   std::uint64_t limit_maxbytes = 0;
-  // Batched-store observability (mirror of the GetMany accounting):
-  // StoreMany calls that actually batched (2+ ops), and the ops they
-  // carried. Singleton stores touch neither, so batching effectiveness is
-  // store_batched_ops / cmd_set.
+  // Batched-store observability: StoreMany calls that actually batched
+  // (2+ ops), and the ops they carried. Singleton stores touch neither, so
+  // batching effectiveness is store_batched_ops / cmd_set.
   std::uint64_t store_batches = 0;
   std::uint64_t store_batched_ops = 0;
   // -- Maintenance plane (PR 7). All zero on engines without one. ---------
@@ -228,106 +228,86 @@ class CacheEngine {
   // misses (and are lazily reclaimed).
   virtual bool Get(const std::string& key, StoredValue* out) = 0;
 
-  // Batched multi-get: fills out[0..count) for keys[0..count), semantics
-  // identical to per-key Get (expired items miss and are lazily reclaimed,
-  // stats count per key). Keys arrive as string_views over the parsed
-  // request so the hot path never materializes per-key std::strings — the
-  // stack's hashers and table lookups are transparent end-to-end. Engines
-  // override to amortize per-op costs across the batch — the relativistic
-  // engine runs each shard's keys inside ONE read-side critical section
-  // instead of one per key. The default is the unbatched loop.
+  // Batched multi-get, the one multi-key read path: keys[0..count) arrive
+  // as string_views over the parsed request (the stack's hashers and table
+  // lookups are transparent end-to-end), hit values are appended to
+  // *scratch and referenced by offset in out[i], so no per-hit std::string
+  // is ever allocated. Semantics match per-key Get — per-key hit/miss
+  // stats, lazy reclamation of dead items — plus the meta-flag metadata
+  // (expire_at, prior last_used, prior fetched bit) each hit carries. The
+  // relativistic engine runs each shard's keys inside ONE read-side
+  // critical section; the locked engine takes its global lock once.
+  virtual void GetManyScratch(const std::string_view* keys, std::size_t count,
+                              ScratchGetResult* out, std::string* scratch) = 0;
+
+  // Owning-copy form of GetManyScratch (one StoredValue per hit). Nothing
+  // on the wire path calls it; it stays for tests and because perfbench's
+  // TracingEngine overrides it.
   virtual void GetMany(const std::string_view* keys, std::size_t count,
                        MultiGetResult* out) {
+    std::vector<ScratchGetResult> slots(count);
+    std::string scratch;
+    GetManyScratch(keys, count, slots.data(), &scratch);
     for (std::size_t i = 0; i < count; ++i) {
-      out[i].hit = Get(std::string(keys[i]), &out[i].value);
-    }
-  }
-
-  // Scratch-region multi-get for the meta protocol's quiet-pipelined `mg`
-  // runs: hit values are appended to *scratch (inside the engine's read
-  // section, where it overrides) and referenced by offset in out[i], so
-  // no per-hit std::string is ever allocated. Semantics otherwise match
-  // GetMany exactly — per-key hit/miss stats, lazy reclamation of dead
-  // items — plus the meta-flag metadata (expire_at, prior last_used,
-  // prior fetched bit) each hit carries. The default loops Get(); the
-  // relativistic engine overrides with one read section per shard group.
-  virtual void GetManyScratch(const std::string_view* keys, std::size_t count,
-                              ScratchGetResult* out, std::string* scratch) {
-    StoredValue value;
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = ScratchGetResult{};
-      if (!Get(std::string(keys[i]), &value)) {
+      const ScratchGetResult& slot = slots[i];
+      out[i].hit = slot.hit;
+      if (!slot.hit) {
         continue;
       }
-      out[i].hit = true;
-      out[i].data_offset = scratch->size();
-      out[i].data_size = value.data.size();
-      scratch->append(value.data);
-      out[i].flags = value.flags;
-      out[i].cas = value.cas;
-      out[i].expire_at = value.expire_at;
-      out[i].last_used = value.last_used;
-      out[i].fetched = value.fetched;
+      StoredValue& value = out[i].value;
+      value.data.assign(scratch, slot.data_offset, slot.data_size);
+      value.flags = slot.flags;
+      value.cas = slot.cas;
+      value.expire_at = slot.expire_at;
+      value.last_used = slot.last_used;
+      value.fetched = slot.fetched;
     }
   }
 
-  // Storage commands take the payload as a string_view over the parsed
-  // request: engines copy it straight into a slab chunk, so no
-  // intermediate owning std::string is ever allocated for the data block.
-  virtual StoreResult Set(const std::string& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime) = 0;
-  virtual StoreResult Add(const std::string& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime) = 0;
-  virtual StoreResult Replace(const std::string& key, std::string_view data,
-                              std::uint32_t flags, std::int64_t exptime) = 0;
-  virtual StoreResult Append(const std::string& key, std::string_view data) = 0;
-  virtual StoreResult Prepend(const std::string& key, std::string_view data) = 0;
-  virtual StoreResult CheckAndSet(const std::string& key, std::string_view data,
-                                  std::uint32_t flags, std::int64_t exptime,
-                                  std::uint64_t expected_cas) = 0;
-
-  // Batched stores: executes ops[0..count) in order, filling
-  // results[0..count), semantics identical to issuing the per-op calls
-  // back to back (wire responses, CAS included, must not change). The
-  // connection collects each pipelined readiness event's storage burst
-  // into one call so engines can amortize per-op costs — the relativistic
+  // Batched stores, the one store path: executes ops[0..count) in order,
+  // filling results[0..count). Payloads are string_views over the parsed
+  // request; engines copy them straight into a slab chunk, so no owning
+  // std::string is ever allocated for the data block. The relativistic
   // engine groups ops by shard and pays one store-mutex acquisition, one
   // resize nudge and at most one reclaimer pump per shard group; the
-  // locked engine takes its global mutex once for the whole batch. The
-  // default is the unbatched loop.
+  // locked engine takes its global mutex once for the whole batch. A
+  // one-op call is an ordinary store: batch stats count only 2+ ops.
   virtual void StoreMany(const StoreOp* ops, std::size_t count,
-                         StoreResult* results) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const StoreOp& op = ops[i];
-      const std::string key(op.key);
-      switch (op.kind) {
-        case StoreKind::kSet:
-          results[i] = Set(key, op.data, op.flags, op.exptime);
-          break;
-        case StoreKind::kAdd:
-          results[i] = Add(key, op.data, op.flags, op.exptime);
-          break;
-        case StoreKind::kReplace:
-          results[i] = Replace(key, op.data, op.flags, op.exptime);
-          break;
-        case StoreKind::kAppend:
-          results[i] = Append(key, op.data);
-          break;
-        case StoreKind::kPrepend:
-          results[i] = Prepend(key, op.data);
-          break;
-        case StoreKind::kCas:
-          results[i] = CheckAndSet(key, op.data, op.flags, op.exptime, op.cas);
-          break;
-        case StoreKind::kDelete:
-          results[i] =
-              Delete(key) ? StoreResult::kStored : StoreResult::kNotFound;
-          break;
-      }
-    }
-  }
+                         StoreResult* results) = 0;
 
-  virtual bool Delete(const std::string& key) = 0;
+  // Per-op conveniences: each builds one StoreOp and runs StoreMany on it.
+  // Virtual only because perfbench's TracingEngine overrides them; the
+  // engines themselves implement StoreMany alone.
+  virtual StoreResult Set(const std::string& key, std::string_view data,
+                          std::uint32_t flags, std::int64_t exptime) {
+    return StoreOne({StoreKind::kSet, key, data, flags, exptime, 0});
+  }
+  virtual StoreResult Add(const std::string& key, std::string_view data,
+                          std::uint32_t flags, std::int64_t exptime) {
+    return StoreOne({StoreKind::kAdd, key, data, flags, exptime, 0});
+  }
+  virtual StoreResult Replace(const std::string& key, std::string_view data,
+                              std::uint32_t flags, std::int64_t exptime) {
+    return StoreOne({StoreKind::kReplace, key, data, flags, exptime, 0});
+  }
+  virtual StoreResult Append(const std::string& key, std::string_view data) {
+    return StoreOne({StoreKind::kAppend, key, data, 0, 0, 0});
+  }
+  virtual StoreResult Prepend(const std::string& key, std::string_view data) {
+    return StoreOne({StoreKind::kPrepend, key, data, 0, 0, 0});
+  }
+  virtual StoreResult CheckAndSet(const std::string& key, std::string_view data,
+                                  std::uint32_t flags, std::int64_t exptime,
+                                  std::uint64_t expected_cas) {
+    return StoreOne(
+        {StoreKind::kCas, key, data, flags, exptime, expected_cas});
+  }
+  // True when a live item was deleted. A dead (expired/flushed) entry is
+  // still reclaimed but answers false, as memcached's delete does.
+  virtual bool Delete(const std::string& key) {
+    return StoreOne({StoreKind::kDelete, key, {}, 0, 0, 0}) ==
+           StoreResult::kStored;
+  }
 
   // Returns the post-op value on kOk; distinguishes a missing/expired key
   // (kNotFound) from a non-numeric value (kNonNumeric). Decr clamps at
@@ -370,6 +350,12 @@ class CacheEngine {
   }
 
  private:
+  StoreResult StoreOne(const StoreOp& op) {
+    StoreResult result;
+    StoreMany(&op, 1, &result);
+    return result;
+  }
+
   std::atomic<std::uint64_t> meta_cmds_[4] = {};
 };
 

@@ -27,8 +27,7 @@ LockedEngine::LockedEngine(EngineConfig config)
   map_.reserve(config_.initial_buckets);
 }
 
-template <typename K>
-LockedEngine::Map::iterator LockedEngine::FindLiveLocked(const K& key,
+LockedEngine::Map::iterator LockedEngine::FindLiveLocked(std::string_view key,
                                                          std::int64_t now) {
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -100,8 +99,7 @@ void LockedEngine::EvictForChunkLocked(std::size_t data_size,
   }
 }
 
-template <typename K>
-void LockedEngine::StoreLocked(const K& key, std::string_view data,
+void LockedEngine::StoreLocked(std::string_view key, std::string_view data,
                                std::uint32_t flags, std::int64_t exptime) {
   auto it = map_.find(key);
   if (it != map_.end()) {
@@ -170,9 +168,9 @@ void LockedEngine::EvictIfNeededLocked() {
   }
 }
 
-template <typename K>
-bool LockedEngine::GetLocked(const K& key, std::int64_t now,
-                             StoredValue* out) {
+bool LockedEngine::Get(const std::string& key, StoredValue* out) {
+  const std::int64_t now = NowSeconds();
+  std::lock_guard<StoreMutex> lock(mutex_);
   auto it = FindLiveLocked(key, now);
   if (it == map_.end()) {
     ++stats_.get_misses;
@@ -195,21 +193,6 @@ bool LockedEngine::GetLocked(const K& key, std::int64_t now,
   out->cas = value.cas;
   ++stats_.get_hits;
   return true;
-}
-
-bool LockedEngine::Get(const std::string& key, StoredValue* out) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  return GetLocked(key, now, out);
-}
-
-void LockedEngine::GetMany(const std::string_view* keys, std::size_t count,
-                           MultiGetResult* out) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].hit = GetLocked(keys[i], now, &out[i].value);
-  }
 }
 
 void LockedEngine::GetManyScratch(const std::string_view* keys,
@@ -243,54 +226,35 @@ void LockedEngine::GetManyScratch(const std::string_view* keys,
   }
 }
 
-StoreResult LockedEngine::Set(const std::string& key, std::string_view data,
-                              std::uint32_t flags, std::int64_t exptime) {
-  std::lock_guard<StoreMutex> lock(mutex_);
-  StoreLocked(key, data, flags, exptime);
-  return StoreResult::kStored;
-}
-
-template <typename K>
-StoreResult LockedEngine::AddOpLocked(const K& key, std::string_view data,
-                                      std::uint32_t flags, std::int64_t exptime,
-                                      std::int64_t now) {
-  if (FindLiveLocked(key, now) != map_.end()) {
-    return StoreResult::kNotStored;
+StoreResult LockedEngine::OverwriteOpLocked(const StoreOp& op,
+                                            std::int64_t now) {
+  const bool is_cas = op.kind == StoreKind::kCas;
+  auto it = FindLiveLocked(op.key, now);
+  if (it == map_.end()) {
+    return is_cas ? StoreResult::kNotFound : StoreResult::kNotStored;
   }
-  StoreLocked(key, data, flags, exptime);
+  if (is_cas && it->second.value.cas != op.cas) {
+    return StoreResult::kExists;
+  }
+  StoreAtLocked(it, op.data, op.flags, op.exptime);
   return StoreResult::kStored;
 }
 
-template <typename K>
-StoreResult LockedEngine::ReplaceOpLocked(const K& key, std::string_view data,
-                                          std::uint32_t flags,
-                                          std::int64_t exptime,
-                                          std::int64_t now) {
-  auto it = FindLiveLocked(key, now);
+StoreResult LockedEngine::ConcatOpLocked(const StoreOp& op, std::int64_t now) {
+  auto it = FindLiveLocked(op.key, now);
   if (it == map_.end()) {
     return StoreResult::kNotStored;
   }
-  StoreAtLocked(it, data, flags, exptime);
-  return StoreResult::kStored;
-}
-
-template <typename K>
-StoreResult LockedEngine::ConcatOpLocked(const K& key, std::string_view data,
-                                         bool prepend, std::int64_t now) {
-  auto it = FindLiveLocked(key, now);
-  if (it == map_.end()) {
-    return StoreResult::kNotStored;
-  }
-  if (it->second.value.data.size() + data.size() > kMaxItemBytes) {
+  if (it->second.value.data.size() + op.data.size() > kMaxItemBytes) {
     return StoreResult::kNotStored;  // would exceed item_size_max
   }
   CacheValue& value = it->second.value;
   const std::size_t old_footprint = value.data.footprint();
   const std::size_t old_size = value.data.size();
-  if (prepend) {
-    value.data.Prepend(&slab_, data);
+  if (op.kind == StoreKind::kPrepend) {
+    value.data.Prepend(&slab_, op.data);
   } else {
-    value.data.Append(&slab_, data);
+    value.data.Append(&slab_, op.data);
   }
   RechargeLocked(old_footprint, old_size, value);
   value.cas = next_cas_++;
@@ -300,68 +264,15 @@ StoreResult LockedEngine::ConcatOpLocked(const K& key, std::string_view data,
   return StoreResult::kStored;
 }
 
-template <typename K>
-StoreResult LockedEngine::CasOpLocked(const K& key, std::string_view data,
-                                      std::uint32_t flags, std::int64_t exptime,
-                                      std::uint64_t expected_cas,
-                                      std::int64_t now) {
-  auto it = FindLiveLocked(key, now);
-  if (it == map_.end()) {
-    return StoreResult::kNotFound;
-  }
-  if (it->second.value.cas != expected_cas) {
-    return StoreResult::kExists;
-  }
-  StoreAtLocked(it, data, flags, exptime);
-  return StoreResult::kStored;
-}
-
-StoreResult LockedEngine::Add(const std::string& key, std::string_view data,
-                              std::uint32_t flags, std::int64_t exptime) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  return AddOpLocked(key, data, flags, exptime, now);
-}
-
-StoreResult LockedEngine::Replace(const std::string& key, std::string_view data,
-                                  std::uint32_t flags, std::int64_t exptime) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  return ReplaceOpLocked(key, data, flags, exptime, now);
-}
-
-StoreResult LockedEngine::Append(const std::string& key,
-                                 std::string_view data) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  return ConcatOpLocked(key, data, /*prepend=*/false, now);
-}
-
-StoreResult LockedEngine::Prepend(const std::string& key,
-                                  std::string_view data) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  return ConcatOpLocked(key, data, /*prepend=*/true, now);
-}
-
-StoreResult LockedEngine::CheckAndSet(const std::string& key,
-                                      std::string_view data,
-                                      std::uint32_t flags, std::int64_t exptime,
-                                      std::uint64_t expected_cas) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  return CasOpLocked(key, data, flags, exptime, expected_cas, now);
-}
-
 void LockedEngine::StoreMany(const StoreOp* ops, std::size_t count,
                              StoreResult* results) {
   if (count == 0) {
     return;
   }
   const std::int64_t now = NowSeconds();
-  // The whole burst under ONE global-lock acquisition: this engine's
-  // per-batch override of the one-mutex-per-op baseline, keeping the
-  // pipelined fig5 contrast symmetric with the RP engine's shard groups.
+  // The whole call under ONE global-lock acquisition, a lone store
+  // included: the pipelined fig5 contrast stays symmetric with the RP
+  // engine's shard groups.
   std::lock_guard<StoreMutex> lock(mutex_);
   for (std::size_t i = 0; i < count; ++i) {
     const StoreOp& op = ops[i];
@@ -371,26 +282,25 @@ void LockedEngine::StoreMany(const StoreOp* ops, std::size_t count,
         results[i] = StoreResult::kStored;
         break;
       case StoreKind::kAdd:
-        results[i] = AddOpLocked(op.key, op.data, op.flags, op.exptime, now);
+        if (FindLiveLocked(op.key, now) != map_.end()) {
+          results[i] = StoreResult::kNotStored;
+        } else {
+          StoreLocked(op.key, op.data, op.flags, op.exptime);
+          results[i] = StoreResult::kStored;
+        }
         break;
       case StoreKind::kReplace:
-        results[i] =
-            ReplaceOpLocked(op.key, op.data, op.flags, op.exptime, now);
+      case StoreKind::kCas:
+        results[i] = OverwriteOpLocked(op, now);
         break;
       case StoreKind::kAppend:
-        results[i] = ConcatOpLocked(op.key, op.data, /*prepend=*/false, now);
-        break;
       case StoreKind::kPrepend:
-        results[i] = ConcatOpLocked(op.key, op.data, /*prepend=*/true, now);
-        break;
-      case StoreKind::kCas:
-        results[i] =
-            CasOpLocked(op.key, op.data, op.flags, op.exptime, op.cas, now);
+        results[i] = ConcatOpLocked(op, now);
         break;
       case StoreKind::kDelete: {
-        // md rides the store batch: same lock acquisition, but the result
-        // is delete semantics (kStored = deleted, kNotFound = miss) and it
-        // must not count toward `sets`.
+        // Delete semantics over the same StoreResult (kStored = deleted,
+        // kNotFound = miss, expired entries reclaimed as a miss); deletes
+        // never count toward `sets`.
         auto it = FindLiveLocked(op.key, now);
         if (it == map_.end()) {
           results[i] = StoreResult::kNotFound;
@@ -406,17 +316,6 @@ void LockedEngine::StoreMany(const StoreOp* ops, std::size_t count,
     ++stats_.store_batches;
     stats_.store_batched_ops += count;
   }
-}
-
-bool LockedEngine::Delete(const std::string& key) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  auto it = FindLiveLocked(key, now);
-  if (it == map_.end()) {
-    return false;
-  }
-  EraseLocked(it);
-  return true;
 }
 
 ArithResult LockedEngine::ArithLocked(const std::string& key,

@@ -37,34 +37,18 @@ class LockedEngine final : public CacheEngine {
   // One mutex acquisition for the whole batch (the global-lock analogue of
   // the RP engine's one-read-section-per-shard-group batching), so the
   // fig5 multi-get contrast compares batching against batching. Keys are
-  // string_views probed via the map's transparent hasher — no per-key
-  // copies here either.
-  void GetMany(const std::string_view* keys, std::size_t count,
-               MultiGetResult* out) override;
-  // Scratch-region variant for the meta protocol's quiet mg runs: same
-  // one-lock-per-batch shape, but hit values append to *scratch instead
-  // of allocating per-hit strings.
+  // string_views probed via the map's transparent hasher, and hit values
+  // append to *scratch — no per-key or per-hit copies here either.
   void GetManyScratch(const std::string_view* keys, std::size_t count,
                       ScratchGetResult* out, std::string* scratch) override;
-  StoreResult Set(const std::string& key, std::string_view data,
-                  std::uint32_t flags, std::int64_t exptime) override;
-  StoreResult Add(const std::string& key, std::string_view data,
-                  std::uint32_t flags, std::int64_t exptime) override;
-  StoreResult Replace(const std::string& key, std::string_view data,
-                      std::uint32_t flags, std::int64_t exptime) override;
-  StoreResult Append(const std::string& key, std::string_view data) override;
-  StoreResult Prepend(const std::string& key, std::string_view data) override;
-  StoreResult CheckAndSet(const std::string& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime,
-                          std::uint64_t expected_cas) override;
-  // One mutex acquisition for the whole storage burst — the symmetric
-  // counterpart of the RP engine's one-lock-per-shard-group batching, so
-  // the fig5 pipelined-SET contrast compares batching against batching.
-  // Keys are probed as string_views via the map's transparent hasher; an
-  // owning std::string materializes only when a new key is linked.
+  // Every store, singletons included, under ONE mutex acquisition for the
+  // whole call — the symmetric counterpart of the RP engine's
+  // one-lock-per-shard-group batching, so the fig5 pipelined-SET contrast
+  // compares batching against batching. Keys are probed as string_views
+  // via the map's transparent hasher; an owning std::string materializes
+  // only when a new key is linked.
   void StoreMany(const StoreOp* ops, std::size_t count,
                  StoreResult* results) override;
-  bool Delete(const std::string& key) override;
   ArithResult Incr(const std::string& key, std::uint64_t delta) override;
   ArithResult Decr(const std::string& key, std::uint64_t delta) override;
   bool Touch(const std::string& key, std::int64_t exptime) override;
@@ -89,36 +73,17 @@ class LockedEngine final : public CacheEngine {
   using Map = std::unordered_map<std::string, Entry,
                                  core::MixedHash<std::string>, std::equal_to<>>;
 
-  // All helpers require mutex_ held. FindLiveLocked/GetLocked are
-  // templated on the key type: the multi-get path probes with
-  // string_views, everything else with the owned request key.
-  template <typename K>
-  Map::iterator FindLiveLocked(const K& key, std::int64_t now);
-  template <typename K>
-  bool GetLocked(const K& key, std::int64_t now, StoredValue* out);
+  // All helpers require mutex_ held. Keys are string_views: the map's
+  // transparent hasher probes them without an owning copy.
+  Map::iterator FindLiveLocked(std::string_view key, std::int64_t now);
   void TouchLruLocked(Map::iterator it);
   void EraseLocked(Map::iterator it);
-  template <typename K>
-  void StoreLocked(const K& key, std::string_view data, std::uint32_t flags,
-                   std::int64_t exptime);
-  // Per-kind store cores, shared by the per-op entry points and StoreMany
-  // (which runs them all under one mutex_ acquisition). Each is exactly
-  // the corresponding public op minus the lock.
-  template <typename K>
-  StoreResult AddOpLocked(const K& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime,
-                          std::int64_t now);
-  template <typename K>
-  StoreResult ReplaceOpLocked(const K& key, std::string_view data,
-                              std::uint32_t flags, std::int64_t exptime,
-                              std::int64_t now);
-  template <typename K>
-  StoreResult ConcatOpLocked(const K& key, std::string_view data, bool prepend,
-                             std::int64_t now);
-  template <typename K>
-  StoreResult CasOpLocked(const K& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime,
-                          std::uint64_t expected_cas, std::int64_t now);
+  void StoreLocked(std::string_view key, std::string_view data,
+                   std::uint32_t flags, std::int64_t exptime);
+  // Per-kind store cores run by StoreMany: replace and cas (kNotStored /
+  // kNotFound on a miss, kExists on a cas mismatch), append and prepend.
+  StoreResult OverwriteOpLocked(const StoreOp& op, std::int64_t now);
+  StoreResult ConcatOpLocked(const StoreOp& op, std::int64_t now);
   // Overwrite through an iterator the caller already holds (from
   // FindLiveLocked): replace/cas reuse their lookup instead of paying a
   // second find — the one-hash rule applied to the locked baseline.

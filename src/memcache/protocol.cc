@@ -412,20 +412,21 @@ void AppendUint(std::string* out, std::uint64_t n) {
 }  // namespace
 
 void AppendValueResponse(std::string* out, std::string_view key,
-                         const StoredValue& value, bool with_cas) {
-  out->reserve(out->size() + key.size() + value.data.size() + 48);
+                         std::string_view data, std::uint32_t flags,
+                         std::uint64_t cas, bool with_cas) {
+  out->reserve(out->size() + key.size() + data.size() + 48);
   out->append("VALUE ");
   out->append(key);
   out->push_back(' ');
-  AppendUint(out, value.flags);
+  AppendUint(out, flags);
   out->push_back(' ');
-  AppendUint(out, value.data.size());
+  AppendUint(out, data.size());
   if (with_cas) {
     out->push_back(' ');
-    AppendUint(out, value.cas);
+    AppendUint(out, cas);
   }
   out->append("\r\n");
-  out->append(value.data);
+  out->append(data);
   out->append("\r\n");
 }
 
@@ -621,7 +622,7 @@ void AppendMetaArithResponse(std::string* out, std::string_view key,
 std::string FormatValue(std::string_view key, const StoredValue& value,
                         bool with_cas) {
   std::string out;
-  AppendValueResponse(&out, key, value, with_cas);
+  AppendValueResponse(&out, key, value.data, value.flags, value.cas, with_cas);
   return out;
 }
 

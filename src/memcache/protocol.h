@@ -175,7 +175,8 @@ inline constexpr std::string_view kNonNumericMessage =
 
 // VALUE <key> <flags> <bytes> [<cas>]\r\n<data>\r\n
 void AppendValueResponse(std::string* out, std::string_view key,
-                         const StoredValue& value, bool with_cas);
+                         std::string_view data, std::uint32_t flags,
+                         std::uint64_t cas, bool with_cas);
 void AppendNumberResponse(std::string* out, std::uint64_t n);
 void AppendClientError(std::string* out, std::string_view message);
 void AppendServerError(std::string* out, std::string_view message);

@@ -579,9 +579,8 @@ bool RpEngine::Get(const std::string& key, StoredValue* out) {
   return false;
 }
 
-template <typename Sink>
-void RpEngine::MultiGetImpl(const std::string_view* keys, std::size_t count,
-                            Sink&& sink) {
+void RpEngine::GetManyScratch(const std::string_view* keys, std::size_t count,
+                              ScratchGetResult* out, std::string* scratch) {
   // Hash every key exactly once up front (the transparent hasher reads
   // the string_views in place — no per-key std::string materializes
   // anywhere on this path). The shard index derives from the hash, so per
@@ -605,6 +604,7 @@ void RpEngine::MultiGetImpl(const std::string_view* keys, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     hashes[i] = Hasher{}(keys[i]);
     marks[i] = 0;
+    out[i] = ScratchGetResult{};
   }
 
   const std::int64_t now = NowSeconds();
@@ -639,17 +639,27 @@ void RpEngine::MultiGetImpl(const std::string_view* keys, std::size_t count,
                 dead = true;
                 return;
               }
+              // The payload appends to scratch inside the read section —
+              // the chunk the view points at may be reclaimed the instant
+              // the section closes — and the slot records its offset, not
+              // a pointer, so scratch may reallocate as the batch grows.
+              ScratchGetResult& slot = out[j];
+              const std::string_view data = value.data.view();
+              slot.data_offset = scratch->size();
+              slot.data_size = data.size();
+              scratch->append(data.data(), data.size());
+              slot.flags = value.flags;
+              slot.cas = value.cas;
+              slot.expire_at = value.expire_at;
               // Capture the pre-GET recency/fetched metadata (the meta
               // protocol's l and h flags report the state BEFORE this
               // access), then stamp. Plain load+store, not RMW — these are
               // per-item relaxed hints, and GET must not pay an atomic RMW.
-              const std::int64_t prior_used =
-                  value.last_used.load(std::memory_order_relaxed);
-              const bool fetched_before =
-                  value.fetched.load(std::memory_order_relaxed);
+              slot.last_used = value.last_used.load(std::memory_order_relaxed);
+              slot.fetched = value.fetched.load(std::memory_order_relaxed);
               value.last_used.store(now, std::memory_order_relaxed);
               value.fetched.store(true, std::memory_order_relaxed);
-              sink.OnHit(j, value, prior_used, fetched_before);
+              slot.hit = true;
               hit = true;
             });
         if (hit) {
@@ -685,65 +695,6 @@ void RpEngine::MultiGetImpl(const std::string_view* keys, std::size_t count,
       }
     }
   }
-}
-
-void RpEngine::GetMany(const std::string_view* keys, std::size_t count,
-                       MultiGetResult* out) {
-  if (count == 0) {
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].hit = false;
-  }
-  struct ValueSink {
-    MultiGetResult* out;
-    void OnHit(std::size_t j, const CacheValue& value, std::int64_t prior_used,
-               bool fetched_before) {
-      MultiGetResult& slot = out[j];
-      const std::string_view data = value.data.view();
-      slot.value.data.assign(data.data(), data.size());
-      slot.value.flags = value.flags;
-      slot.value.cas = value.cas;
-      slot.value.expire_at = value.expire_at;
-      slot.value.last_used = prior_used;
-      slot.value.fetched = fetched_before;
-      slot.hit = true;
-    }
-  };
-  MultiGetImpl(keys, count, ValueSink{out});
-}
-
-void RpEngine::GetManyScratch(const std::string_view* keys, std::size_t count,
-                              ScratchGetResult* out, std::string* scratch) {
-  if (count == 0) {
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = ScratchGetResult{};
-  }
-  // Hit payloads append to the caller's scratch string; results carry
-  // offsets (not pointers) so scratch may reallocate as the batch grows.
-  // The append happens inside the group's read section — the chunk the
-  // view points at may be reclaimed the instant the section closes.
-  struct ScratchSink {
-    ScratchGetResult* out;
-    std::string* scratch;
-    void OnHit(std::size_t j, const CacheValue& value, std::int64_t prior_used,
-               bool fetched_before) {
-      ScratchGetResult& slot = out[j];
-      const std::string_view data = value.data.view();
-      slot.data_offset = scratch->size();
-      slot.data_size = data.size();
-      scratch->append(data.data(), data.size());
-      slot.flags = value.flags;
-      slot.cas = value.cas;
-      slot.expire_at = value.expire_at;
-      slot.last_used = prior_used;
-      slot.fetched = fetched_before;
-      slot.hit = true;
-    }
-  };
-  MultiGetImpl(keys, count, ScratchSink{out, scratch});
 }
 
 bool RpEngine::ReclaimDead(Shard& shard, core::Prehashed hash,
@@ -867,39 +818,6 @@ void RpEngine::EvictForClassLocked(Shard& shard,
   }
 }
 
-void RpEngine::MaybeEvict(Shard& shard) {
-  if (!track_eviction_ || !OverLimit(shard)) {
-    return;
-  }
-  std::lock_guard<StoreMutex> lock(shard.store_mutex);
-  EvictLocked(shard);
-}
-
-void RpEngine::EnsureChunkAvailable(Shard& shard, std::size_t data_size) {
-  if (data_size == 0 || shard.slab.HasAvailable(data_size)) {
-    return;
-  }
-  // Freed chunks only ever return to their own class: if the arena never
-  // carved this class a page, neither eviction nor a reclaimer drain can
-  // produce one — go straight to the heap fallback (still charged
-  // exactly; the byte-cap sweep keeps total memory bounded).
-  if (!shard.slab.HasChunksOf(data_size)) {
-    return;
-  }
-  // The class is dry against the arena cap. Evict a couple of matching
-  // victims (under the store mutex — never while holding a stripe), then
-  // drain the deferred reclaimer with no locks held so their chunks (and
-  // any same-class retirements from ordinary churn) actually return to
-  // the pool. Holding no engine lock here is what makes the drain safe:
-  // callbacks free chunks into the slab mutex, and the grace period only
-  // waits on read-side sections, never on writers.
-  {
-    std::lock_guard<StoreMutex> lock(shard.store_mutex);
-    EvictForClassLocked(shard, shard.slab.FootprintFor(data_size));
-  }
-  Shard::Table::reclaimer_type::Drain();
-}
-
 bool RpEngine::PublishValueLocked(Shard& shard, core::Prehashed hash,
                                   std::string_view key, CacheValue&& value) {
   // A staged (to-be-embedded) payload is not in value.data yet; charge
@@ -939,109 +857,22 @@ bool RpEngine::PublishValueLocked(Shard& shard, core::Prehashed hash,
   return inserted;
 }
 
-StoreResult RpEngine::Set(const std::string& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  const std::int64_t now = NowSeconds();
-  if (config_.hot_key_cache) {
-    NoteOp(shard, hash.value, key);  // SET-hot keys get promoted too
-  }
-  // Embeddable payloads go straight from the parsed request into the new
-  // node's own chunk (staged below — the payload slab is never consulted);
-  // larger ones go into a payload slab chunk, TryAllocate-first: the
-  // common case (the class has a free chunk) pays one allocator lock
-  // instead of a HasAvailable + Allocate pair; only exhaustion or an
-  // unpooled size takes the evict-and-drain / heap-fallback slow path.
-  // Either way, no owning string is ever allocated for the bytes.
-  const bool embed = ShouldEmbedPayload(shard.slab, data.size());
-  SlabBuffer payload;
-  if (!data.empty() && !embed) {
-    if (char* chunk = shard.slab.TryAllocate(data.size())) {
-      payload = SlabBuffer::FromChunk(chunk, data);
-    } else {
-      EnsureChunkAvailable(shard, data.size());
-      payload = SlabBuffer(&shard.slab, data);
-    }
-  }
-  CacheValue value(std::move(payload), flags, ResolveExptime(exptime, now),
-                   NextCas(shard));
-  value.stored_at = now;
-  value.last_used.store(now, std::memory_order_relaxed);
-  // Capped caches serialize stores on the shard's store mutex so the
-  // gauge check and eviction sweep are atomic against the publish.
-  // Uncapped caches (no eviction bookkeeping at all) publish lock-free:
-  // the insert-or-assign is stripe-atomic, every gauge moves by
-  // fetch-add deltas, and there is no FIFO state to guard.
-  std::unique_lock<StoreMutex> lock(shard.store_mutex, std::defer_lock);
-  if (track_eviction_) {
-    lock.lock();
-  }
-  if (embed) {
-    g_staged_payload = data;
-  }
-  const bool inserted = PublishValueLocked(shard, hash, key, std::move(value));
-  InvalidateFront(shard, hash.value);
-  EvictLocked(shard);
-  shard.sets.fetch_add(1, std::memory_order_relaxed);
-  if (inserted) {
-    shard.resize_worker.Nudge();
-  }
-  return StoreResult::kStored;
-}
-
-StoreResult RpEngine::Add(const std::string& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  // Evict-for-class only when the add can actually store (key absent or
-  // dead): an add answered NOT_STORED must not evict live data. Advisory
-  // and race-tolerant, like the Replace-side gate.
-  if (!shard.slab.HasAvailable(data.size()) &&
-      !shard.table.Contains(hash, key)) {
-    EnsureChunkAvailable(shard, data.size());
-  }
-  StoreOp op;
-  op.kind = StoreKind::kAdd;
-  op.key = key;
-  op.data = data;
-  op.flags = flags;
-  op.exptime = exptime;
-  const std::int64_t now = NowSeconds();
-  bool inserted = false;
-  // Same locking rule as Set: store mutex only when eviction bookkeeping
-  // exists. The lock-free add is safe because StoreOneLocked's kAdd core
-  // answers an insert race with kNotStored instead of assuming the store
-  // mutex made Insert infallible.
-  std::unique_lock<StoreMutex> lock(shard.store_mutex, std::defer_lock);
-  if (track_eviction_) {
-    lock.lock();
-  }
-  const StoreResult result = StoreOneLocked(shard, hash, op, now, &inserted);
-  if (result != StoreResult::kStored) {
-    return result;
-  }
-  EvictLocked(shard);
-  shard.sets.fetch_add(1, std::memory_order_relaxed);
-  if (inserted) {
-    shard.resize_worker.Nudge();
-  }
-  return result;
-}
-
-// Replace-only-if-live as one conditional per-key update: the liveness
-// check and the overwrite are atomic under the stripe, so a concurrent
-// DELETE can never be resurrected by a REPLACE that passed a stale check
-// (and a replace never inserts, so eviction bookkeeping is untouched).
-// The core touches only the stripe locks (safe with or without the store
-// mutex held — StoreMany runs it inside its one batch acquisition) and
-// leaves `sets` counting and eviction to the caller.
-StoreResult RpEngine::ReplaceCore(Shard& shard, core::Prehashed hash,
-                                  std::string_view key, std::string_view data,
-                                  std::uint32_t flags, std::int64_t exptime,
-                                  std::int64_t now) {
+// Replace and cas as one conditional per-key update: the liveness check,
+// the cas comparison (kCas only) and the overwrite are atomic under the
+// stripe. A concurrent DELETE can never be resurrected by a REPLACE that
+// passed a stale check, and a concurrent APPEND/INCR/TOUCH (which bump the
+// cas under the same stripe) either lands before a CAS's comparison — CAS
+// returns kExists — or after the whole CAS. Neither kind ever inserts, so
+// eviction bookkeeping is untouched. The core takes only the stripe lock
+// (safe with or without the store mutex held) and leaves `sets` counting
+// and eviction to StoreMany.
+StoreResult RpEngine::OverwriteCore(Shard& shard, core::Prehashed hash,
+                                    const StoreOp& op, std::int64_t now) {
+  const bool is_cas = op.kind == StoreKind::kCas;
   const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
   const std::uint64_t cas = NextCas(shard);
+  bool live = false;
+  bool matched = false;
   // The gauge delta must be computed against the ORIGINAL value's
   // footprint (captured in the predicate, which runs on the stored value
   // under the stripe) — the clone handed to the mutate callback sits in a
@@ -1049,53 +880,36 @@ StoreResult RpEngine::ReplaceCore(Shard& shard, core::Prehashed hash,
   // original's whenever pooled and fallback allocations mix.
   std::size_t old_footprint = 0;
   std::size_t old_size = 0;
-  const bool replaced = shard.table.UpdateIf(
-      hash, key,
+  shard.table.UpdateIf(
+      hash, op.key,
       [&](const CacheValue& value) {
         if (!IsLive(value, flush_at, now)) {
           return false;
         }
-        old_footprint = value.data.footprint();
-        old_size = value.data.size();
-        return true;
+        live = true;
+        matched = !is_cas || value.cas == op.cas;
+        if (matched) {
+          old_footprint = value.data.footprint();
+          old_size = value.data.size();
+        }
+        return matched;
       },
       [&](CacheValue& value) {
         // `value` is the writer's private clone: overwriting its buffer
         // in place (or swapping chunks — Assign frees only never-published
         // chunks here) is invisible to readers of the original node.
-        value.data.Assign(&shard.slab, data);
+        value.data.Assign(&shard.slab, op.data);
         shard.RechargeValue(old_footprint, old_size, value);
-        value.flags = flags;
-        value.expire_at = ResolveExptime(exptime, now);
+        value.flags = op.flags;
+        value.expire_at = ResolveExptime(op.exptime, now);
         value.cas = cas;
         value.stored_at = now;
         value.last_used.store(now, std::memory_order_relaxed);
       });
-  return replaced ? StoreResult::kStored : StoreResult::kNotStored;
-}
-
-StoreResult RpEngine::Replace(const std::string& key, std::string_view data,
-                              std::uint32_t flags, std::int64_t exptime) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  // Gate the exhaustion slow path on the key being present at all: a
-  // replace of a missing key stores nothing, and evicting live items for
-  // it would be pure collateral. (Advisory and race-tolerant — liveness
-  // is re-checked under the stripe; a wrong guess only means one heap
-  // fallback.)
-  if (!shard.slab.HasAvailable(data.size()) &&
-      shard.table.Contains(hash, key)) {
-    EnsureChunkAvailable(shard, data.size());
+  if (!live) {
+    return is_cas ? StoreResult::kNotFound : StoreResult::kNotStored;
   }
-  const StoreResult result =
-      ReplaceCore(shard, hash, key, data, flags, exptime, NowSeconds());
-  if (result != StoreResult::kStored) {
-    return result;
-  }
-  InvalidateFront(shard, hash.value);
-  shard.sets.fetch_add(1, std::memory_order_relaxed);
-  MaybeEvict(shard);
-  return result;
+  return matched ? StoreResult::kStored : StoreResult::kExists;
 }
 
 // Append/Prepend are per-key read-modify-writes: the table's striped
@@ -1105,17 +919,17 @@ StoreResult RpEngine::Replace(const std::string& key, std::string_view data,
 // preserved, so a flushed item can never be revived through its tail.
 // Growth past kMaxItemBytes (memcached's item_size_max) is rejected too.
 StoreResult RpEngine::ConcatCore(Shard& shard, core::Prehashed hash,
-                                 std::string_view key, std::string_view data,
-                                 bool prepend, std::int64_t now) {
+                                 const StoreOp& op, std::int64_t now) {
+  const bool prepend = op.kind == StoreKind::kPrepend;
   const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
   const std::uint64_t cas = NextCas(shard);
   std::size_t old_footprint = 0;  // captured from the original, not the clone
   std::size_t old_size = 0;
   const bool updated = shard.table.UpdateIf(
-      hash, key,
+      hash, op.key,
       [&](const CacheValue& value) {
         if (!IsLive(value, flush_at, now) ||
-            value.data.size() + data.size() > kMaxItemBytes) {
+            value.data.size() + op.data.size() > kMaxItemBytes) {
           return false;  // dead, or the result would exceed item_size_max
         }
         old_footprint = value.data.footprint();
@@ -1124,109 +938,14 @@ StoreResult RpEngine::ConcatCore(Shard& shard, core::Prehashed hash,
       },
       [&](CacheValue& value) {
         if (prepend) {
-          value.data.Prepend(&shard.slab, data);
+          value.data.Prepend(&shard.slab, op.data);
         } else {
-          value.data.Append(&shard.slab, data);
+          value.data.Append(&shard.slab, op.data);
         }
         shard.RechargeValue(old_footprint, old_size, value);
         value.cas = cas;
       });
   return updated ? StoreResult::kStored : StoreResult::kNotStored;
-}
-
-StoreResult RpEngine::Append(const std::string& key, std::string_view data) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  const StoreResult result =
-      ConcatCore(shard, hash, key, data, /*prepend=*/false, NowSeconds());
-  if (result != StoreResult::kStored) {
-    return result;
-  }
-  InvalidateFront(shard, hash.value);
-  shard.sets.fetch_add(1, std::memory_order_relaxed);
-  MaybeEvict(shard);
-  return result;
-}
-
-StoreResult RpEngine::Prepend(const std::string& key, std::string_view data) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  const StoreResult result =
-      ConcatCore(shard, hash, key, data, /*prepend=*/true, NowSeconds());
-  if (result != StoreResult::kStored) {
-    return result;
-  }
-  InvalidateFront(shard, hash.value);
-  shard.sets.fetch_add(1, std::memory_order_relaxed);
-  MaybeEvict(shard);
-  return result;
-}
-
-// CAS as one conditional per-key update: the cas comparison and the store
-// are atomic under the stripe. A concurrent APPEND/INCR/TOUCH (which bump
-// the cas under the same stripe) either lands before the comparison — CAS
-// returns kExists — or after the whole CAS; it can never be silently
-// overwritten between a passed check and the store.
-StoreResult RpEngine::CasCore(Shard& shard, core::Prehashed hash,
-                              std::string_view key, std::string_view data,
-                              std::uint32_t flags, std::int64_t exptime,
-                              std::uint64_t expected_cas, std::int64_t now) {
-  const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  const std::uint64_t cas = NextCas(shard);
-  bool live = false;
-  bool matched = false;
-  std::size_t old_footprint = 0;  // captured from the original, not the clone
-  std::size_t old_size = 0;
-  shard.table.UpdateIf(
-      hash, key,
-      [&](const CacheValue& value) {
-        if (!IsLive(value, flush_at, now)) {
-          return false;
-        }
-        live = true;
-        matched = value.cas == expected_cas;
-        if (matched) {
-          old_footprint = value.data.footprint();
-          old_size = value.data.size();
-        }
-        return matched;
-      },
-      [&](CacheValue& value) {
-        value.data.Assign(&shard.slab, data);
-        shard.RechargeValue(old_footprint, old_size, value);
-        value.flags = flags;
-        value.expire_at = ResolveExptime(exptime, now);
-        value.cas = cas;
-        value.stored_at = now;
-        value.last_used.store(now, std::memory_order_relaxed);
-      });
-  if (!live) {
-    return StoreResult::kNotFound;
-  }
-  return matched ? StoreResult::kStored : StoreResult::kExists;
-}
-
-StoreResult RpEngine::CheckAndSet(const std::string& key, std::string_view data,
-                                  std::uint32_t flags, std::int64_t exptime,
-                                  std::uint64_t expected_cas) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  // As in Replace: evict-for-class only when the key exists — a cas that
-  // will answer NOT_FOUND (or EXISTS) must not evict live data for a
-  // store that never happens.
-  if (!shard.slab.HasAvailable(data.size()) &&
-      shard.table.Contains(hash, key)) {
-    EnsureChunkAvailable(shard, data.size());
-  }
-  const StoreResult result = CasCore(shard, hash, key, data, flags, exptime,
-                                     expected_cas, NowSeconds());
-  if (result != StoreResult::kStored) {
-    return result;
-  }
-  InvalidateFront(shard, hash.value);
-  shard.sets.fetch_add(1, std::memory_order_relaxed);
-  MaybeEvict(shard);
-  return result;
 }
 
 StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
@@ -1235,8 +954,10 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
   *inserted = false;
   switch (op.kind) {
     case StoreKind::kSet: {
-      // Same staging rule as the singleton Set: embeddable payloads land
-      // in the node's own chunk, only larger ones take a payload chunk.
+      // Embeddable payloads go straight from the parsed request into the
+      // new node's own chunk (staged for CombinedNodeAlloc::Create — the
+      // payload slab is never consulted); only larger ones take a payload
+      // chunk. Either way no owning string is allocated for the bytes.
       const bool embed = ShouldEmbedPayload(shard.slab, op.data.size());
       SlabBuffer payload;
       if (!op.data.empty() && !embed) {
@@ -1321,29 +1042,25 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
     case StoreKind::kAppend:
     case StoreKind::kPrepend:
     case StoreKind::kCas: {
-      StoreResult result;
-      if (op.kind == StoreKind::kReplace) {
-        result = ReplaceCore(shard, hash, op.key, op.data, op.flags,
-                             op.exptime, now);
-      } else if (op.kind == StoreKind::kCas) {
-        result = CasCore(shard, hash, op.key, op.data, op.flags, op.exptime,
-                         op.cas, now);
-      } else {
-        result = ConcatCore(shard, hash, op.key, op.data,
-                            op.kind == StoreKind::kPrepend, now);
-      }
+      const StoreResult result =
+          op.kind == StoreKind::kReplace || op.kind == StoreKind::kCas
+              ? OverwriteCore(shard, hash, op, now)
+              : ConcatCore(shard, hash, op, now);
       if (result == StoreResult::kStored) {
         InvalidateFront(shard, hash.value);
       }
       return result;
     }
     case StoreKind::kDelete: {
-      // md riding the store batch: Delete()'s conditional erase verbatim
-      // (byte refund under the stripe, dead entries reclaimed but answered
-      // as a miss), with the resize nudge deferred to the caller's
-      // per-group nudge via *inserted (table membership changed). Deletes
-      // answer kStored for "deleted" but must NOT count in `sets` — the
-      // StoreMany counting loop special-cases them.
+      // A per-key conditional erase: the byte refund happens under the
+      // key's stripe, and the eviction queue tolerates stale keys (the
+      // sweep re-checks presence), so no shard-wide state is touched. A
+      // dead (expired/flushed) entry is still physically erased, but
+      // answers kNotFound and counts as a reclaim — memcached semantics
+      // (delete of an expired key is a miss). The resize nudge rides the
+      // caller's per-group nudge via *inserted (table membership changed).
+      // Deletes answer kStored for "deleted" but must NOT count in `sets`
+      // — the StoreMany counting loop special-cases them.
       const std::int64_t flush_at =
           shard.flush_at.load(std::memory_order_relaxed);
       bool was_live = false;
@@ -1370,14 +1087,9 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
 
 void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
                          StoreResult* results) {
-  if (count < 2) {
-    CacheEngine::StoreMany(ops, count, results);  // singletons: per-op path
-    return;
-  }
-
   // Hash every key exactly once up front; the shard index derives from the
-  // hash, mirroring GetMany (and batches up to kInlineOps — the largest
-  // burst the connection collects — stay off the heap).
+  // hash, mirroring GetManyScratch (and batches up to kInlineOps — the
+  // largest burst the connection collects — stay off the heap).
   constexpr std::size_t kInlineOps = 64;
   std::size_t inline_hashes[kInlineOps];
   unsigned char inline_done[kInlineOps];
@@ -1442,65 +1154,70 @@ void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
 
     // Chunk pre-pass for the whole group, no locks held: find the size
     // classes this group needs that are dry against the arena, deduped by
-    // footprint so a burst of same-sized sets checks its class once. Ops
-    // that cannot store (add on a present key, replace/cas on a missing
-    // one) don't get to trigger eviction — same gating as the per-op
-    // paths. All dry classes share ONE eviction sweep under ONE store-
-    // mutex acquisition and at most ONE reclaimer pump for the group.
+    // footprint so a burst of same-sized stores decides its class once.
+    // Ops that cannot store (add on a present key, replace/cas on a
+    // missing one) must not evict live data for a store that never
+    // happens; that table probe runs only once the class is known to be
+    // dry, so a store into a class with free chunks pays no extra lookup.
+    // Embeddable set payloads live inside the node chunk and never consult
+    // the payload slab; append/prepend grow through SlabBuffer and deletes
+    // carry no data, so none of them pre-ensure. Combined ops never
+    // allocate at all.
     constexpr std::size_t kMaxClasses = 8;
-    std::size_t seen[kMaxClasses];
+    std::size_t decided[kMaxClasses];
     std::size_t dry[kMaxClasses];
-    std::size_t n_seen = 0;
+    std::size_t n_decided = 0;
     std::size_t n_dry = 0;
     for (std::size_t j = i; j < count; ++j) {
       if (done[j] != 0 || combined[j] != 0 ||
           ShardIndexForHash(hashes[j]) != shard_index) {
-        continue;  // combined ops never allocate — no class to pre-ensure
+        continue;
       }
       const StoreOp& op = ops[j];
-      if (op.data.empty()) {
+      const std::size_t size = op.data.size();
+      const bool slab_store =
+          op.kind == StoreKind::kAdd || op.kind == StoreKind::kReplace ||
+          op.kind == StoreKind::kCas ||
+          (op.kind == StoreKind::kSet &&
+           !ShouldEmbedPayload(shard.slab, size));
+      if (size == 0 || !slab_store) {
         continue;
       }
-      bool wants = false;
-      switch (op.kind) {
-        case StoreKind::kSet:
-          // Embeddable payloads live inside the node chunk and never
-          // consult the payload slab.
-          wants = !ShouldEmbedPayload(shard.slab, op.data.size());
-          break;
-        case StoreKind::kAdd:
-          wants = !shard.table.Contains(core::Prehashed{hashes[j]}, op.key);
-          break;
-        case StoreKind::kReplace:
-        case StoreKind::kCas:
-          wants = shard.table.Contains(core::Prehashed{hashes[j]}, op.key);
-          break;
-        default:
-          break;  // append/prepend grow through SlabBuffer, never pre-ensure
-      }
-      if (!wants) {
-        continue;
-      }
-      const std::size_t footprint = shard.slab.FootprintFor(op.data.size());
-      bool known = false;
-      for (std::size_t k = 0; k < n_seen; ++k) {
-        if (seen[k] == footprint) {
-          known = true;
-          break;
-        }
-      }
-      if (known || n_seen == kMaxClasses) {
+      const std::size_t footprint = shard.slab.FootprintFor(size);
+      if (n_decided == kMaxClasses ||
+          std::find(decided, decided + n_decided, footprint) !=
+              decided + n_decided) {
         // Overflowing kMaxClasses distinct classes in one burst is
         // pathological; the unchecked ops just risk a (charged, counted)
         // heap fallback.
         continue;
       }
-      seen[n_seen++] = footprint;
-      if (!shard.slab.HasAvailable(op.data.size()) &&
-          shard.slab.HasChunksOf(op.data.size())) {
+      if (shard.slab.HasAvailable(size)) {
+        decided[n_decided++] = footprint;
+        continue;
+      }
+      if (op.kind != StoreKind::kSet &&
+          shard.table.Contains(core::Prehashed{hashes[j]}, op.key) ==
+              (op.kind == StoreKind::kAdd)) {
+        continue;  // this op cannot store; a later one may still need it
+      }
+      decided[n_decided++] = footprint;
+      // Freed chunks only ever return to their own class: if the arena
+      // never carved this class a page, neither eviction nor a reclaimer
+      // drain can produce one — the store goes straight to the heap
+      // fallback (still charged exactly; the byte-cap sweep keeps total
+      // memory bounded).
+      if (shard.slab.HasChunksOf(size)) {
         dry[n_dry++] = footprint;
       }
     }
+    // The store path's one evict-for-class site. All dry classes share ONE
+    // eviction sweep under ONE store-mutex acquisition (never while
+    // holding a stripe), then ONE reclaimer drain with no locks held so the
+    // victims' chunks (and any same-class retirements from ordinary churn)
+    // actually return to the pool. Holding no engine lock is what makes
+    // the drain safe: callbacks free chunks into the slab mutex, and the
+    // grace period only waits on read-side sections, never on writers.
     if (n_dry != 0) {
       {
         std::lock_guard<StoreMutex> lock(shard.store_mutex);
@@ -1508,13 +1225,16 @@ void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
           EvictForClassLocked(shard, dry[k]);
         }
       }
-      Shard::Table::reclaimer_type::Drain();  // the group's one pump
+      Shard::Table::reclaimer_type::Drain();
     }
 
     // Execute the group in request order under AT MOST ONE store-mutex
-    // acquisition (stripe locks nest under it exactly as on the per-op
-    // paths; uncapped caches take zero, the same rule as the singleton
-    // paths), with per-op eviction preserved and the counters batched.
+    // acquisition, stripe locks nested under it. Capped caches take it so
+    // the gauge check and eviction sweep are atomic against each publish;
+    // uncapped caches (no eviction bookkeeping at all) take none: the
+    // insert-or-assign is stripe-atomic, every gauge moves by fetch-add
+    // deltas, and there is no FIFO state to guard. Per-op eviction is
+    // preserved and the counters are batched.
     std::uint64_t stored = 0;
     std::uint64_t combines = 0;
     bool inserted_any = false;
@@ -1540,8 +1260,8 @@ void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
         results[j] = StoreOneLocked(shard, core::Prehashed{hashes[j]}, ops[j],
                                     now, &inserted);
         // kStored from a kDelete means "deleted": no new bytes to evict
-        // for, and deletes never count in `sets` (matches the per-op
-        // Delete path and the locked engine).
+        // for, and deletes never count in `sets` (as on the locked
+        // engine).
         if (results[j] == StoreResult::kStored &&
             ops[j].kind != StoreKind::kDelete) {
           ++stored;
@@ -1561,38 +1281,10 @@ void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
     }
   }
 
-  store_batches_.fetch_add(1, std::memory_order_relaxed);
-  store_batched_ops_.fetch_add(count, std::memory_order_relaxed);
-}
-
-// DELETE is a per-key conditional erase: the byte refund happens under the
-// key's stripe, and the eviction queue tolerates stale keys (the sweep
-// re-checks presence), so no shard-wide lock is needed. A dead (expired /
-// flushed) entry is still physically erased, but answers NOT_FOUND and
-// counts as a reclaim — memcached semantics (delete of an expired key is a
-// miss), and what the locked engine's lazy-reclaiming find already does.
-bool RpEngine::Delete(const std::string& key) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  const std::int64_t now = NowSeconds();
-  const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  bool was_live = false;
-  const bool erased =
-      shard.table.EraseIf(hash, key, [&](const CacheValue& value) {
-        was_live = IsLive(value, flush_at, now);
-        shard.RefundValue(key.size(), value);
-        return true;
-      });
-  if (!erased) {
-    return false;
+  if (count >= 2) {
+    store_batches_.fetch_add(1, std::memory_order_relaxed);
+    store_batched_ops_.fetch_add(count, std::memory_order_relaxed);
   }
-  InvalidateFront(shard, hash.value);
-  shard.resize_worker.Nudge();
-  if (!was_live) {
-    shard.expired_reclaims.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
 }
 
 // INCR/DECR as one atomic per-key update: parse, bump and re-serialize
@@ -1644,7 +1336,12 @@ ArithResult RpEngine::Arith(const std::string& key, std::uint64_t delta,
     return {status, 0};
   }
   InvalidateFront(shard, hash.value);
-  MaybeEvict(shard);  // "9" -> "10" and friends grow the gauge too
+  // "9" -> "10" and friends grow the gauge too; the store mutex is taken
+  // only when the shard is actually over budget.
+  if (track_eviction_ && OverLimit(shard)) {
+    std::lock_guard<StoreMutex> lock(shard.store_mutex);
+    EvictLocked(shard);
+  }
   return {ArithStatus::kOk, next};
 }
 

@@ -21,9 +21,11 @@
 // bucket; conditional forms (UpdateIf/EraseIf) make their check-then-act
 // atomic under the key's stripe. Removed values are reclaimed via the
 // deferred (call_rcu-style) policy so no update waits for a grace period.
-// Only operations that must change eviction bookkeeping atomically with
-// table membership (SET/ADD insert path, eviction, immediate flush)
-// serialize on the shard's store mutex. Resizes are off the writer path
+// Every store enters through StoreMany. On a capped cache each shard group
+// of a StoreMany serializes on the shard's store mutex (once per group),
+// because eviction bookkeeping must change atomically with table
+// membership; so do eviction and an immediate flush. An uncapped cache's
+// stores take no engine lock at all. Resizes are off the writer path
 // entirely: each table runs with auto_resize off and its shard's
 // background ResizeWorker absorbs resize cost, kernel-rhashtable style.
 //
@@ -66,44 +68,25 @@ class RpEngine final : public CacheEngine {
   // whole lookup path is transparent, nothing is copied per key) are
   // hashed once, grouped by shard, and each shard's group executes inside
   // a single read-side critical section (one epoch enter/exit per group,
-  // not per key). Expired items are reclaimed after every section has
-  // closed — reclamation takes writer locks, which must never happen
-  // inside a read section (a resize holding the stripes waits for
-  // readers).
-  void GetMany(const std::string_view* keys, std::size_t count,
-               MultiGetResult* out) override;
-  // Scratch-region multi-get for the meta protocol's quiet mg runs: same
-  // one-section-per-shard-group core as GetMany, but hit values append to
-  // *scratch (results carry offsets — realloc-safe) instead of allocating
-  // a std::string per hit, and per-item metadata (remaining TTL, prior
-  // last-access, fetched-before) is captured for the t/l/h response flags.
-  // Deliberately bypasses the hot-key front cache: every key answers from
-  // the table inside the group's read section, which keeps the
-  // one-epoch-per-batch invariant exact (tests pin it) and the h flag
-  // accurate.
+  // not per key). Hit values append to *scratch (results carry offsets —
+  // realloc-safe) and per-item metadata (remaining TTL, prior last-access,
+  // fetched-before) is captured for the meta t/l/h flags. Expired items
+  // are reclaimed after every section has closed — reclamation takes
+  // writer locks, which must never happen inside a read section (a resize
+  // holding the stripes waits for readers). Deliberately bypasses the
+  // hot-key front cache: every key answers from the table inside the
+  // group's read section, which keeps the one-epoch-per-batch invariant
+  // exact (tests pin it) and the h flag accurate.
   void GetManyScratch(const std::string_view* keys, std::size_t count,
                       ScratchGetResult* out, std::string* scratch) override;
-  StoreResult Set(const std::string& key, std::string_view data,
-                  std::uint32_t flags, std::int64_t exptime) override;
-  StoreResult Add(const std::string& key, std::string_view data,
-                  std::uint32_t flags, std::int64_t exptime) override;
-  StoreResult Replace(const std::string& key, std::string_view data,
-                      std::uint32_t flags, std::int64_t exptime) override;
-  StoreResult Append(const std::string& key, std::string_view data) override;
-  StoreResult Prepend(const std::string& key, std::string_view data) override;
-  StoreResult CheckAndSet(const std::string& key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime,
-                          std::uint64_t expected_cas) override;
-  // Batched stores, shard-grouped like GetMany: ops are hashed once up
-  // front and grouped by shard; each shard group pre-ensures slab chunks
-  // (one eviction sweep + at most ONE reclaimer pump for the whole group),
-  // then executes its ops in request order under ONE store_mutex
-  // acquisition, with one resize nudge and one batched `sets` update at
-  // the end. Per-op wire semantics (results, CAS, eviction bookkeeping)
-  // are identical to the per-op calls.
+  // Every store, singletons included: ops are hashed once up front and
+  // grouped by shard; each shard group pre-ensures slab chunks (one
+  // eviction sweep + at most ONE reclaimer drain for the whole group),
+  // then executes its ops in request order under at most ONE store_mutex
+  // acquisition (none on an uncapped cache), with one resize nudge and one
+  // batched `sets` update at the end.
   void StoreMany(const StoreOp* ops, std::size_t count,
                  StoreResult* results) override;
-  bool Delete(const std::string& key) override;
   ArithResult Incr(const std::string& key, std::uint64_t delta) override;
   ArithResult Decr(const std::string& key, std::uint64_t delta) override;
   bool Touch(const std::string& key, std::int64_t exptime) override;
@@ -151,18 +134,11 @@ class RpEngine final : public CacheEngine {
   bool OverLimit(const Shard& shard) const;
   // Caller must hold shard.store_mutex.
   void EvictLocked(Shard& shard);
-  // Cheap over-budget check for update paths that grow a value outside the
-  // store mutex (append/replace/cas/incr); takes the mutex only when over.
-  void MaybeEvict(Shard& shard);
-  // Slab-exhaustion slow path, called with NO locks held before a store
-  // that needs a chunk of `data_size`: when the size class is dry against
-  // the arena cap (and the arena has actually carved chunks of it), evict
-  // a couple of matching victims and drain the deferred reclaimer so
-  // retired chunks return to the pool. Purely advisory — the allocation
-  // itself still falls back to the heap if the class stays dry.
-  void EnsureChunkAvailable(Shard& shard, std::size_t data_size);
-  // Bounded class-targeted eviction sweep run when a slab class is
-  // exhausted: only victims whose chunk footprint matches the dry class
+  // Bounded class-targeted eviction sweep run by StoreMany's chunk
+  // pre-pass when a slab class is exhausted (the caller then drains the
+  // deferred reclaimer so retired chunks return to the pool; the
+  // allocation itself still falls back to the heap if the class stays
+  // dry): only victims whose chunk footprint matches the dry class
   // are evicted (freed chunks return to their own class, so anything else
   // is collateral damage); wrong-class live items are requeued. Unlinks
   // regardless of the byte gauge — the chunks come back only after a
@@ -174,17 +150,6 @@ class RpEngine final : public CacheEngine {
   bool ReclaimDead(Shard& shard, core::Prehashed hash, std::string_view key);
   ArithResult Arith(const std::string& key, std::uint64_t delta,
                     bool increment);
-  // Shared core of GetMany/GetManyScratch: hash every key once, group by
-  // shard, ONE epoch section per shard group, batched hit/miss counters,
-  // dead-item reclamation strictly after all sections close. For each live
-  // hit the sink runs INSIDE the section as
-  //   sink.OnHit(j, value, prior_used, fetched_before)
-  // after the recency/fetched stamps (prior_* are the pre-GET values the
-  // meta l/h flags report). Defined in rp_engine.cc; both instantiations
-  // live in that TU.
-  template <typename Sink>
-  void MultiGetImpl(const std::string_view* keys, std::size_t count,
-                    Sink&& sink);
 
   // -- Maintenance plane (runs on each shard's resize-worker thread) ------
 
@@ -205,34 +170,29 @@ class RpEngine final : public CacheEngine {
   // cold: one fence + two relaxed loads.
   void InvalidateFront(Shard& shard, std::size_t hash);
   void InvalidateAllFront(Shard& shard);
-  // Detector bump on the GET/SET hot paths: lossy per-stripe op counters;
+  // Detector bump on the singleton GET path: lossy per-stripe op counters;
   // every 64th op per stripe feeds the candidate table (try-lock only).
   void NoteOp(Shard& shard, std::size_t hash, std::string_view key);
-  // Executes one store op with shard.store_mutex HELD, in-lock value build
-  // included. Returns the wire result; *inserted reports whether a new key
-  // was linked (caller nudges the resize worker once per lock section).
+  // Executes one store op inside StoreMany's group section (which holds
+  // shard.store_mutex on a capped cache), value build included. Returns
+  // the wire result; *inserted reports whether table membership changed
+  // (the caller nudges the resize worker once per group).
   StoreResult StoreOneLocked(Shard& shard, core::Prehashed hash,
                              const StoreOp& op, std::int64_t now,
                              bool* inserted);
   // Publishes a fully built value for `key` (insert-or-assign + byte-gauge
-  // and eviction bookkeeping). Caller must hold shard.store_mutex. Returns
+  // and eviction bookkeeping), under StoreOneLocked's locking. Returns
   // true when a new key was inserted (vs overwritten).
   bool PublishValueLocked(Shard& shard, core::Prehashed hash,
                           std::string_view key, CacheValue&& value);
-  // Update-path cores shared by the per-op calls and StoreMany: they touch
-  // only the table's stripe locks (safe with or without the store mutex
-  // held) and do NOT count `sets` or trigger eviction — callers do.
-  StoreResult ReplaceCore(Shard& shard, core::Prehashed hash,
-                          std::string_view key, std::string_view data,
-                          std::uint32_t flags, std::int64_t exptime,
-                          std::int64_t now);
+  // Update-path cores of StoreOneLocked: they touch only the table's
+  // stripe locks (safe with or without the store mutex held) and do NOT
+  // count `sets` or trigger eviction — StoreMany does. OverwriteCore runs
+  // kReplace and kCas, ConcatCore kAppend and kPrepend.
+  StoreResult OverwriteCore(Shard& shard, core::Prehashed hash,
+                            const StoreOp& op, std::int64_t now);
   StoreResult ConcatCore(Shard& shard, core::Prehashed hash,
-                         std::string_view key, std::string_view data,
-                         bool prepend, std::int64_t now);
-  StoreResult CasCore(Shard& shard, core::Prehashed hash,
-                      std::string_view key, std::string_view data,
-                      std::uint32_t flags, std::int64_t exptime,
-                      std::uint64_t expected_cas, std::int64_t now);
+                         const StoreOp& op, std::int64_t now);
   // Next CAS value for an item stored in `shard`: per-shard counters
   // stepped by the shard count and salted by the shard index, so values
   // stay unique engine-wide without a single contended atomic.

@@ -215,11 +215,7 @@ void RunProtocolClient(CacheEngine& engine, const WorkloadConfig& config,
           ++j;
         }
         stores_executed += j - i;
-        if (j - i == 1) {
-          ExecuteRequest(engine, requests[i], &response, &quit);
-        } else {
-          ExecuteStoreBatch(engine, requests.data() + i, j - i, &response);
-        }
+        ExecuteStoreBatch(engine, requests.data() + i, j - i, &response);
       } else {
         ExecuteRequest(engine, requests[i], &response, &quit);
         ++j;
@@ -251,7 +247,8 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
       std::max<std::size_t>(config.keys_per_get, 1);
   std::vector<std::string> batch_keys(keys_per_get);
   std::vector<std::string_view> batch_views(keys_per_get);
-  std::vector<MultiGetResult> batch_results(keys_per_get);
+  std::vector<ScratchGetResult> batch_results(keys_per_get);
+  std::string batch_scratch;
   const std::size_t sets_per_request =
       std::max<std::size_t>(config.sets_per_request, 1);
   std::vector<std::string> store_keys(sets_per_request);
@@ -266,9 +263,11 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
         batch_keys[k] = WorkloadKey(NextKeyIndex(config, rng, zipf));
         batch_views[k] = batch_keys[k];
       }
-      engine.GetMany(batch_views.data(), keys_per_get, batch_results.data());
+      batch_scratch.clear();
+      engine.GetManyScratch(batch_views.data(), keys_per_get,
+                            batch_results.data(), &batch_scratch);
       totals.gets += keys_per_get;
-      for (const MultiGetResult& result : batch_results) {
+      for (const ScratchGetResult& result : batch_results) {
         if (result.hit) {
           ++totals.hits;
         } else {

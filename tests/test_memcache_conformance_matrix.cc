@@ -19,13 +19,16 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/core/hash.h"
 #include "src/memcache/connection.h"
 #include "src/memcache/engine.h"
 #include "src/memcache/locked_engine.h"
 #include "src/memcache/protocol.h"
 #include "src/memcache/rp_engine.h"
+#include "src/memcache/slab.h"
 
 namespace {
 
@@ -223,97 +226,199 @@ TEST(ConformanceMatrix, EveryOpAgreesOnEveryItemState) {
   }
 }
 
-// The same op × item-state matrix, with every storage op executed through
-// the BATCHED path (one ExecuteStoreBatch burst, as the connection issues
-// for a pipelined store run) and compared against the per-op path on the
-// same engine, and across engines. Wire responses — CAS results included —
-// must be byte-identical to per-op execution in every item state, and so
-// must the state each op leaves behind.
-TEST(ConformanceMatrix, BatchedStoresAgreeOnEveryItemState) {
-  // The six storage commands (the batchable subset of kOps).
-  const OpSpec kStoreOps[] = {
+// The same op × item-state matrix for the storage commands plus delete,
+// run two ways on twin instances: every cell alone (EngineHandler::
+// ExecuteStores with count 1 — a lone store is a one-op StoreMany) and all
+// cells as one pipelined ExecuteStoreBatch burst. The transcripts must be
+// byte-identical within each engine and across engines, and so must the
+// counters and the state each op leaves behind. Two inputs: an uncapped
+// engine whose burst spans several shard groups, and a capped one-shard
+// engine whose cells' slab class is dry — the arena is already full of
+// other classes' pages, so every cell payload takes the exhaustion path
+// (pre-pass, then heap fallback) on both instances.
+
+// Buckets per shard table. The RP maintenance crawler walks 8 buckets per
+// tick from bucket 0 and reclaims dead items it meets, which would make
+// the expired/flushed cells' counters depend on thread timing. At ~100
+// ticks/s it needs tens of seconds to reach kCrawlHorizon, and every key
+// the sweep stores is placed beyond it.
+constexpr std::size_t kSweepShardBuckets = std::size_t{1} << 18;
+constexpr std::size_t kCrawlHorizon = std::size_t{1} << 14;
+
+EngineConfig SweepConfig(std::size_t shards, std::size_t max_bytes) {
+  EngineConfig config;
+  config.shards = shards;
+  config.initial_buckets = kSweepShardBuckets * shards;
+  config.max_bytes = max_bytes;
+  return config;
+}
+
+// First "<base>-<n>" whose table bucket (the hash's low bits, whichever
+// shard owns it) lies beyond kCrawlHorizon.
+std::string BeyondCrawl(const std::string& base) {
+  for (int n = 0;; ++n) {
+    std::string key = base + "-" + std::to_string(n);
+    const std::size_t bucket =
+        rp::core::MixedHash<std::string>{}(key) & (kSweepShardBuckets - 1);
+    if (bucket >= kCrawlHorizon) {
+      return key;
+    }
+  }
+}
+
+std::string SweepKey(const char* state, const char* op) {
+  return BeyondCrawl(CellKey(state, op));
+}
+
+// Carves every page of a one-shard engine's value arena with one live item
+// of a distinct class (each page stays pinned, so automove cannot hand one
+// to another class), leaving no room for the cells' class. A probe
+// allocator with the engine's own slab policy replays the same
+// allocations to prove it. The fillers die to the sweep's delayed flush
+// like the flushed cells, but nothing reclaims them, so their pages stay
+// pinned.
+void FillArenaAroundCellClass(CacheEngine& engine, const EngineConfig& config,
+                              std::size_t cell_size) {
+  SlabAllocator probe(SlabPolicyFor(config, 1));
+  int filler = 0;
+  for (std::size_t size = 3000; size > cell_size; size = size * 4 / 5) {
+    if (probe.HasChunksOf(size) || !probe.HasAvailable(size)) {
+      continue;  // class already carved, or no room left for one chunk
+    }
+    probe.Allocate(size);
+    ASSERT_EQ(engine.Add(BeyondCrawl("filler-" + std::to_string(filler++)),
+                         std::string(size, 'f'), 0, 0),
+              StoreResult::kStored);
+  }
+  ASSERT_FALSE(probe.HasAvailable(cell_size));
+  ASSERT_FALSE(probe.HasChunksOf(cell_size));
+}
+
+void ExpectSingletonAndPipelinedStoresAgree(const EngineConfig& config,
+                                            bool dry_cell_class) {
+  const OpSpec kSweepOps[] = {
       {"set", Op::kSet},         {"add", Op::kAdd},
       {"replace", Op::kReplace}, {"append", Op::kAppend},
       {"prepend", Op::kPrepend}, {"cas", Op::kCas},
+      {"delete", Op::kDelete},
   };
+  LockedEngine locked_single(config);
+  LockedEngine locked_piped(config);
+  RpEngine rp_single(config);
+  RpEngine rp_piped(config);
+  CacheEngine* engines[] = {&locked_single, &locked_piped, &rp_single,
+                            &rp_piped};
 
-  EngineConfig rp_config;
-  rp_config.shards = 4;
-  LockedEngine locked_batched{EngineConfig{}};
-  LockedEngine locked_per_op{EngineConfig{}};
-  RpEngine rp_batched(rp_config);
-  RpEngine rp_per_op(rp_config);
-  CacheEngine* engines[] = {&locked_batched, &locked_per_op, &rp_batched,
-                            &rp_per_op};
-
-  std::int64_t deadline = 0;
   for (CacheEngine* engine : engines) {
-    std::int64_t engine_deadline = 0;
-    Prepare(*engine, &engine_deadline);
-    deadline = std::max(deadline, engine_deadline);
+    if (dry_cell_class) {
+      FillArenaAroundCellClass(*engine, config, 4);  // "100" + "9", at most
+    }
+    for (const OpSpec& spec : kSweepOps) {
+      ASSERT_EQ(engine->Set(SweepKey("flushed", spec.name), "100", 5, 0),
+                StoreResult::kStored);
+    }
   }
-  while (NowSeconds() < deadline + 1) {
+  const std::int64_t armed_at = NowSeconds();
+  for (CacheEngine* engine : engines) {
+    engine->FlushAll(1);
+  }
+  while (NowSeconds() < armed_at + 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   for (CacheEngine* engine : engines) {
-    FinishPrepare(*engine);
+    for (const OpSpec& spec : kSweepOps) {
+      ASSERT_EQ(engine->Set(SweepKey("live", spec.name), "100", 5, 0),
+                StoreResult::kStored);
+      ASSERT_EQ(engine->Set(SweepKey("expired", spec.name), "100", 5, -1),
+                StoreResult::kStored);
+    }
   }
 
-  // One burst covering every (storage op, state) cell. Each engine gets
-  // its own request list because cas tokens are engine-local.
-  auto build_burst = [&](CacheEngine& engine) {
-    std::vector<Request> burst;
+  // Requests per engine (cas tokens are engine-local). Only live cells
+  // fetch theirs: a gets on a dead cell would reclaim it first.
+  auto build = [&](CacheEngine& engine) {
+    std::vector<Request> requests;
     for (const char* state : kStates) {
-      for (const OpSpec& spec : kStoreOps) {
-        const std::string key = CellKey(state, spec.name);
-        burst.push_back(BuildRequest(spec, key, FetchCas(engine, key)));
-        EXPECT_TRUE(IsBatchableStore(burst.back()));
+      for (const OpSpec& spec : kSweepOps) {
+        const std::string key = SweepKey(state, spec.name);
+        const bool live = std::string(state) == "live";
+        requests.push_back(
+            BuildRequest(spec, key, live ? FetchCas(engine, key) : 42));
       }
     }
-    return burst;
+    return requests;
   };
-
-  const std::vector<Request> locked_burst = build_burst(locked_batched);
-  const std::vector<Request> rp_burst = build_burst(rp_batched);
-  std::string locked_batched_out;
-  std::string rp_batched_out;
-  ExecuteStoreBatch(locked_batched, locked_burst.data(), locked_burst.size(),
-                    &locked_batched_out);
-  ExecuteStoreBatch(rp_batched, rp_burst.data(), rp_burst.size(),
-                    &rp_batched_out);
-
-  auto run_per_op = [&](CacheEngine& engine) {
+  auto run_singly = [&](CacheEngine& engine) {
+    EngineHandler handler(engine);
     std::string out;
-    for (const Request& request : build_burst(engine)) {
-      std::string response;
-      bool quit = false;
-      ExecuteRequest(engine, request, &response, &quit);
-      out += response;
+    for (const Request& request : build(engine)) {
+      handler.ExecuteStores(&request, 1, &out);
     }
     return out;
   };
-  const std::string locked_per_op_out = run_per_op(locked_per_op);
-  const std::string rp_per_op_out = run_per_op(rp_per_op);
+  auto run_piped = [&](CacheEngine& engine) {
+    const std::vector<Request> burst = build(engine);
+    std::string out;
+    ExecuteStoreBatch(engine, burst.data(), burst.size(), &out);
+    return out;
+  };
+  const std::string locked_single_out = run_singly(locked_single);
+  const std::string locked_piped_out = run_piped(locked_piped);
+  const std::string rp_single_out = run_singly(rp_single);
+  const std::string rp_piped_out = run_piped(rp_piped);
 
-  // Storage responses carry no cas token, so all four transcripts compare
-  // byte-for-byte: batched vs per-op within each engine, and across them.
-  EXPECT_EQ(locked_batched_out, locked_per_op_out);
-  EXPECT_EQ(rp_batched_out, rp_per_op_out);
-  EXPECT_EQ(locked_batched_out, rp_batched_out);
+  // Storage responses carry no cas token, so the transcripts compare
+  // byte-for-byte within each engine and across them.
+  EXPECT_EQ(locked_single_out, locked_piped_out);
+  EXPECT_EQ(rp_single_out, rp_piped_out);
+  EXPECT_EQ(locked_single_out, rp_single_out);
 
-  // The state left behind must agree across all four instances too.
+  const std::pair<CacheEngine*, CacheEngine*> twins[] = {
+      {&locked_single, &locked_piped}, {&rp_single, &rp_piped}};
+  for (const auto& [single, piped] : twins) {
+    const EngineStats a = single->Stats();
+    const EngineStats b = piped->Stats();
+    const std::string name = single->Name();
+    EXPECT_EQ(a.sets, b.sets) << name;
+    EXPECT_EQ(a.evictions, b.evictions) << name;
+    EXPECT_EQ(a.expired_reclaims, b.expired_reclaims) << name;
+    EXPECT_EQ(a.total_items, b.total_items) << name;
+    EXPECT_EQ(a.bytes, b.bytes) << name;
+    EXPECT_EQ(a.bytes_wasted, b.bytes_wasted) << name;
+    EXPECT_EQ(a.slab_fallbacks, b.slab_fallbacks) << name;
+    if (dry_cell_class) {
+      EXPECT_GT(a.slab_fallbacks, 0u) << name;  // the dry class was hit
+    }
+    // The crawler never touched a swept key (see kCrawlHorizon).
+    EXPECT_EQ(a.crawler_reclaims, 0u) << name;
+    EXPECT_EQ(b.crawler_reclaims, 0u) << name;
+  }
+
+  // The state left behind agrees on all four instances.
   for (const char* state : kStates) {
-    for (const OpSpec& spec : kStoreOps) {
+    for (const OpSpec& spec : kSweepOps) {
       Request follow_up;
       follow_up.op = Op::kGet;
-      follow_up.keys = {CellKey(state, spec.name)};
-      const std::string expected = Execute(locked_per_op, follow_up);
-      CacheEngine* others[] = {&locked_batched, &rp_batched, &rp_per_op};
-      for (CacheEngine* engine : others) {
+      follow_up.keys = {SweepKey(state, spec.name)};
+      const std::string expected = Execute(locked_single, follow_up);
+      for (CacheEngine* engine : {static_cast<CacheEngine*>(&locked_piped),
+                                  static_cast<CacheEngine*>(&rp_single),
+                                  static_cast<CacheEngine*>(&rp_piped)}) {
         EXPECT_EQ(Execute(*engine, follow_up), expected)
             << "post-" << spec.name << " state on " << state << " item";
       }
     }
+  }
+}
+
+TEST(ConformanceMatrix, SingletonAndPipelinedStoresAgreeOnEveryItemState) {
+  {
+    SCOPED_TRACE("uncapped, four shard groups");
+    ExpectSingletonAndPipelinedStoresAgree(SweepConfig(4, 0), false);
+  }
+  {
+    SCOPED_TRACE("capped, cells' slab class dry");
+    ExpectSingletonAndPipelinedStoresAgree(SweepConfig(1, 32 * 1024), true);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -389,11 +390,17 @@ TEST(Crawler, ReclaimsExpiredItemsWithoutAnyRequestTouchingThem) {
   config.shards = 1;
   config.initial_buckets = 64;
   RpEngine rp(config);
+  // Stored live, so the shard's own background tick cannot reclaim any of
+  // them before the count below; they die once their two-second TTL lapses.
+  const std::int64_t stored_at = NowSeconds();
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(rp.Set("dead-" + std::to_string(i), "v", 0, -1),
+    ASSERT_EQ(rp.Set("dead-" + std::to_string(i), "v", 0, 2),
               StoreResult::kStored);
   }
   ASSERT_EQ(rp.ItemCount(), 50u);
+  while (NowSeconds() < stored_at + 3) {  // the last second's stores too
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
 
   // Each tick crawls a few buckets; enough ticks cover the table. No GET
   // ever touches these keys — the crawl alone must reclaim them.

@@ -6,7 +6,9 @@
 //     nothing from the heap once the pools are warm.
 //  2. One store-mutex acquisition per shard group of a batched store on a
 //     capped cache — and ZERO on an uncapped cache, whose stores publish
-//     lock-free — with no synchronous grace-period barrier on either.
+//     lock-free — with no synchronous grace-period barrier on either. A
+//     one-op StoreMany (every lone store takes that path) obeys the same
+//     bounds and leaves the batch counters alone.
 //  3. Batched stores are semantically identical to the per-op calls, on
 //     both engines, results and final cache state included.
 //  4. Embedded payloads survive the size transitions that move a value
@@ -214,6 +216,40 @@ TEST(StorePathLocking, UncappedBatchTakesNoLocks) {
       << "an uncapped cache has no eviction state to guard: batched stores "
          "must publish lock-free";
   EXPECT_EQ(rcu::Epoch::ThreadBarrierCalls() - barriers_before, 0u);
+}
+
+// A lone store is a one-op StoreMany: it takes the same lock path as a
+// shard group of one — one acquisition when capped, none when uncapped —
+// never barriers, and is not counted as a batch.
+TEST(StorePathLocking, OneOpStoreTakesTheGroupLockPathAndIsNoBatch) {
+  for (const bool capped : {false, true}) {
+    RpEngine engine(capped ? CappedOneShard() : UncappedOneShard());
+    std::vector<std::string> keys;
+    std::vector<StoreOp> ops = SetBurst(1, "lone-value", keys);
+    StoreResult result = StoreResult::kNotStored;
+    engine.StoreMany(ops.data(), 1, &result);  // insert; measure overwrite
+
+    const EngineStats before = engine.Stats();
+    const std::uint64_t locks_before = StoreMutex::ThreadAcquisitions();
+    const std::uint64_t barriers_before = rcu::Epoch::ThreadBarrierCalls();
+    engine.StoreMany(ops.data(), 1, &result);
+    EXPECT_EQ(StoreMutex::ThreadAcquisitions() - locks_before,
+              capped ? 1u : 0u)
+        << (capped ? "capped" : "uncapped");
+    EXPECT_EQ(rcu::Epoch::ThreadBarrierCalls() - barriers_before, 0u);
+    EXPECT_EQ(result, StoreResult::kStored);
+
+    // The per-op convenience is the same one-op call.
+    const std::uint64_t set_locks_before = StoreMutex::ThreadAcquisitions();
+    EXPECT_EQ(engine.Set(keys[0], "lone-value", 0, 0), StoreResult::kStored);
+    EXPECT_EQ(StoreMutex::ThreadAcquisitions() - set_locks_before,
+              capped ? 1u : 0u);
+
+    const EngineStats after = engine.Stats();
+    EXPECT_EQ(after.store_batches, before.store_batches);
+    EXPECT_EQ(after.store_batched_ops, before.store_batched_ops);
+    EXPECT_EQ(after.sets, before.sets + 2);
+  }
 }
 
 // ---------------------------------------------------------------------------

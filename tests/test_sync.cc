@@ -1,4 +1,4 @@
-// Unit tests for src/sync: spinlock, ticket lock, reader-writer spinlock.
+// Unit tests for src/sync: spinlock, reader-writer spinlock.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 
 #include "src/sync/rwlock.h"
 #include "src/sync/spinlock.h"
-#include "src/sync/ticket_lock.h"
 #include "src/util/spin_barrier.h"
 
 namespace rp::sync {
@@ -37,20 +36,10 @@ void MutualExclusionTest() {
 }
 
 TEST(Spinlock, MutualExclusion) { MutualExclusionTest<Spinlock>(); }
-TEST(TicketLock, MutualExclusion) { MutualExclusionTest<TicketLock>(); }
 TEST(RwSpinlock, WriterMutualExclusion) { MutualExclusionTest<RwSpinlock>(); }
 
 TEST(Spinlock, TryLock) {
   Spinlock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
-TEST(TicketLock, TryLock) {
-  TicketLock lock;
   EXPECT_TRUE(lock.try_lock());
   EXPECT_FALSE(lock.try_lock());
   lock.unlock();
@@ -138,43 +127,6 @@ TEST(RwSpinlock, SharedLockGuardCompatible) {
     std::unique_lock<RwSpinlock> exclusive(lock);
   }
   SUCCEED();
-}
-
-TEST(TicketLock, IsFifoFair) {
-  // Acquire in known order: a queue of waiters must be served in order.
-  TicketLock lock;
-  std::vector<int> order;
-  std::mutex order_mutex;
-  lock.lock();
-  std::atomic<int> started{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      // Serialize arrival so ticket order is deterministic.
-      while (started.load() != t) {
-        std::this_thread::yield();
-      }
-      started.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      lock.lock();
-      {
-        std::lock_guard<std::mutex> g(order_mutex);
-        order.push_back(t);
-      }
-      lock.unlock();
-    });
-    // Wait until thread t has taken its ticket (approximately: it bumps
-    // `started` before sleeping, then queues).
-    while (started.load() != t + 1) {
-      std::this_thread::yield();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  lock.unlock();
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 }  // namespace
