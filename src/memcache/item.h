@@ -92,8 +92,8 @@ inline std::size_t WastedBytes(const SlabBuffer& data) {
 
 // The value record stored in the hash tables. Copyable (the relativistic
 // engine's updates are copy-on-write; the copy lands in a fresh slab chunk
-// so readers of the original are undisturbed); `last_used` is mutable +
-// atomic so the lock-free GET fast path can stamp recency without a
+// so readers of the original are undisturbed); the access metadata is
+// mutable + atomic so the lock-free GET fast path can stamp it without a
 // writer lock.
 struct CacheValue {
   SlabBuffer data;
@@ -111,6 +111,10 @@ struct CacheValue {
   // stores build a fresh CacheValue, which resets it; partial mutations
   // clone it through the copy constructors below.
   mutable std::atomic<bool> fetched{false};
+  // CLOCK reference bit for the eviction sweep: set by GETs and full
+  // stores, cleared by the sweep when it spares the item. Unlike
+  // last_used/fetched it is eviction-private and never reaches the wire.
+  mutable std::atomic<bool> referenced{false};
 
   CacheValue() = default;
   CacheValue(SlabBuffer d, std::uint32_t f, std::int64_t e, std::uint64_t c)
@@ -123,7 +127,8 @@ struct CacheValue {
         cas(other.cas),
         stored_at(other.stored_at),
         last_used(other.last_used.load(std::memory_order_relaxed)),
-        fetched(other.fetched.load(std::memory_order_relaxed)) {}
+        fetched(other.fetched.load(std::memory_order_relaxed)),
+        referenced(other.referenced.load(std::memory_order_relaxed)) {}
 
   CacheValue& operator=(const CacheValue& other) {
     if (this != &other) {
@@ -136,6 +141,8 @@ struct CacheValue {
                       std::memory_order_relaxed);
       fetched.store(other.fetched.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
+      referenced.store(other.referenced.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
     }
     return *this;
   }
@@ -147,7 +154,8 @@ struct CacheValue {
         cas(other.cas),
         stored_at(other.stored_at),
         last_used(other.last_used.load(std::memory_order_relaxed)),
-        fetched(other.fetched.load(std::memory_order_relaxed)) {}
+        fetched(other.fetched.load(std::memory_order_relaxed)),
+        referenced(other.referenced.load(std::memory_order_relaxed)) {}
 
   CacheValue& operator=(CacheValue&& other) noexcept {
     data = std::move(other.data);
@@ -159,6 +167,8 @@ struct CacheValue {
                     std::memory_order_relaxed);
     fetched.store(other.fetched.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
+    referenced.store(other.referenced.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
     return *this;
   }
 
@@ -176,9 +186,15 @@ struct CacheValue {
                          std::memory_order_relaxed);
     copy.fetched.store(other.fetched.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
+    copy.referenced.store(other.referenced.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
     return copy;
   }
 };
+
+// The reference bit rides in the padding after `fetched`: the record that
+// every table node embeds stays one cache line.
+static_assert(sizeof(CacheValue) == 64);
 
 // Combined liveness check: an item is dead when its TTL has lapsed or when
 // a (possibly delayed) flush_all deadline has overtaken it.

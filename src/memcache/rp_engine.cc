@@ -209,6 +209,28 @@ SlabPolicy NodeSlabPolicy() {
 constexpr std::size_t kClassEvictBatch = 2;
 constexpr std::size_t kClassEvictPops = 64;
 
+// A GET hit's writes to the item: the access stamps and the CLOCK
+// reference bit, each stored only when it changes (memcached rate-limits
+// the same bump with ITEM_UPDATE_INTERVAL), so a hot item's line is
+// written about once per second and once per sweep that clears its bit,
+// not on every hit. Reports the pre-GET last_used/fetched, which the meta
+// l and h flags describe. Plain loads and stores, not RMWs: these are
+// per-item relaxed hints, and GET must not pay an atomic RMW.
+void StampGet(const CacheValue& value, std::int64_t now,
+              std::int64_t* last_used, bool* fetched) {
+  *last_used = value.last_used.load(std::memory_order_relaxed);
+  *fetched = value.fetched.load(std::memory_order_relaxed);
+  if (*last_used != now) {
+    value.last_used.store(now, std::memory_order_relaxed);
+  }
+  if (!*fetched) {
+    value.fetched.store(true, std::memory_order_relaxed);
+  }
+  if (!value.referenced.load(std::memory_order_relaxed)) {
+    value.referenced.store(true, std::memory_order_relaxed);
+  }
+}
+
 // -- Maintenance-plane geometry ------------------------------------------
 
 // Hot-key front cache: direct-mapped ways per shard (way = hash & mask).
@@ -332,11 +354,15 @@ struct RpEngine::Shard {
   // never contend. StoreMutex counts acquisitions in TLS so tests can pin
   // the one-lock-per-batch invariant.
   StoreMutex store_mutex;
-  // Approximate LRU: insertion-ordered queue scanned with a second-chance
-  // test against the GET path's relaxed last_used stamps. Exact LRU would
+  // Approximate LRU (CLOCK): an insertion-ordered queue swept against each
+  // item's reference bit, which GETs and full stores set with a relaxed
+  // store and the sweep clears when it spares the item. Exact LRU would
   // reintroduce a shared write per GET — the very serialization the RP
   // port removes — so eviction precision is traded for reader scalability.
   std::deque<std::string> fifo;
+  // Entries popped off `fifo` by either eviction sweep (test hook:
+  // EvictionSweepPops). Guarded by store_mutex, like the queue.
+  std::uint64_t sweep_pops = 0;
 
   // flush_all deadline for this shard's items (kNoFlush = none pending).
   std::atomic<std::int64_t> flush_at{kNoFlush};
@@ -560,13 +586,8 @@ bool RpEngine::Get(const std::string& key, StoredValue* out) {
     out->flags = value.flags;
     out->cas = value.cas;
     out->expire_at = value.expire_at;
-    out->last_used = value.last_used.load(std::memory_order_relaxed);
-    out->fetched = value.fetched.load(std::memory_order_relaxed);
-    // Relaxed recency/fetched stamps feeding the second-chance eviction
-    // scan and the meta h flag. These are the only writes a GET performs,
-    // and they are per-item, not global.
-    value.last_used.store(now, std::memory_order_relaxed);
-    value.fetched.store(true, std::memory_order_relaxed);
+    // The only writes a GET performs, and they are per-item, not global.
+    StampGet(value, now, &out->last_used, &out->fetched);
   });
   if (found && !dead) {
     shard.get_hits.fetch_add(1, std::memory_order_relaxed);
@@ -651,14 +672,7 @@ void RpEngine::GetManyScratch(const std::string_view* keys, std::size_t count,
               slot.flags = value.flags;
               slot.cas = value.cas;
               slot.expire_at = value.expire_at;
-              // Capture the pre-GET recency/fetched metadata (the meta
-              // protocol's l and h flags report the state BEFORE this
-              // access), then stamp. Plain load+store, not RMW — these are
-              // per-item relaxed hints, and GET must not pay an atomic RMW.
-              slot.last_used = value.last_used.load(std::memory_order_relaxed);
-              slot.fetched = value.fetched.load(std::memory_order_relaxed);
-              value.last_used.store(now, std::memory_order_relaxed);
-              value.fetched.store(true, std::memory_order_relaxed);
+              StampGet(value, now, &slot.last_used, &slot.fetched);
               slot.hit = true;
               hit = true;
             });
@@ -733,21 +747,26 @@ void RpEngine::EvictLocked(Shard& shard) {
   }
   const std::int64_t now = NowSeconds();
   const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  // Second-chance sweep: live items touched within the last second get one
-  // reprieve (re-queued); everything else in FIFO order is evicted. Dead
-  // items (expired / overtaken by a flush deadline) are reclaimed on sight
-  // regardless of recency.
+  // CLOCK sweep: a live item whose reference bit is set is spared — the
+  // bit is cleared and the key requeued — and everything else in FIFO
+  // order is evicted. Each requeue consumes one reference, so an eviction
+  // costs amortized O(1) pops. Dead items (expired / overtaken by a flush
+  // deadline) are reclaimed on sight regardless of the bit. `chances`
+  // bounds one call's requeues in case GETs re-set bits as fast as the
+  // sweep clears them. The sweep never writes last_used or fetched.
   std::size_t chances = shard.fifo.size();
   while (OverLimit(shard) && !shard.fifo.empty()) {
     std::string victim = std::move(shard.fifo.front());
     shard.fifo.pop_front();
-    bool recently_used = false;
+    ++shard.sweep_pops;
+    bool referenced = false;
     bool was_dead = false;
     const bool erased = shard.table.EraseIf(victim, [&](const CacheValue& value) {
       was_dead = !IsLive(value, flush_at, now);
       if (!was_dead && chances > 0 &&
-          value.last_used.load(std::memory_order_relaxed) >= now) {
-        recently_used = true;
+          value.referenced.load(std::memory_order_relaxed)) {
+        value.referenced.store(false, std::memory_order_relaxed);
+        referenced = true;
         return false;
       }
       shard.RefundValue(victim.size(), value);
@@ -762,7 +781,7 @@ void RpEngine::EvictLocked(Shard& shard) {
       }
       continue;
     }
-    if (recently_used) {
+    if (referenced) {
       --chances;
       shard.fifo.push_back(std::move(victim));
     }
@@ -787,6 +806,7 @@ void RpEngine::EvictForClassLocked(Shard& shard,
   while (pops-- > 0 && matches > 0 && !shard.fifo.empty()) {
     std::string victim = std::move(shard.fifo.front());
     shard.fifo.pop_front();
+    ++shard.sweep_pops;
     bool was_dead = false;
     bool matched = false;
     bool examined = false;
@@ -905,6 +925,7 @@ StoreResult RpEngine::OverwriteCore(Shard& shard, core::Prehashed hash,
         value.cas = cas;
         value.stored_at = now;
         value.last_used.store(now, std::memory_order_relaxed);
+        value.referenced.store(true, std::memory_order_relaxed);
       });
   if (!live) {
     return is_cas ? StoreResult::kNotFound : StoreResult::kNotStored;
@@ -967,6 +988,7 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
                        ResolveExptime(op.exptime, now), NextCas(shard));
       value.stored_at = now;
       value.last_used.store(now, std::memory_order_relaxed);
+      value.referenced.store(true, std::memory_order_relaxed);
       if (embed) {
         g_staged_payload = op.data;
       }
@@ -981,6 +1003,7 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
                        ResolveExptime(op.exptime, now), NextCas(shard));
       value.stored_at = now;
       value.last_used.store(now, std::memory_order_relaxed);
+      value.referenced.store(true, std::memory_order_relaxed);
       const std::size_t new_charge = ChargedBytes(op.key.size(), value.data);
       const std::size_t new_waste = WastedBytes(value.data);
       bool live = false;
@@ -1553,10 +1576,11 @@ bool RpEngine::PublishFrontWay(Shard& shard, std::size_t way) {
     if (!data.empty()) {
       std::memcpy(snap.bytes + key.size(), data.data(), data.size());
     }
-    // Front hits bypass the table walk and its recency stamp; refresh it
-    // here every tick so the second-chance eviction sweep cannot mistake
-    // the shard's hottest item for a cold one.
+    // Front hits bypass the table walk and its stamps; refresh last_used
+    // and the reference bit here every tick so the eviction sweep cannot
+    // mistake the shard's hottest item for a cold one.
     value.last_used.store(now, std::memory_order_relaxed);
+    value.referenced.store(true, std::memory_order_relaxed);
     live = true;
   });
   bool keep = true;
@@ -1724,6 +1748,15 @@ std::size_t RpEngine::EvictionQueueDepth() const {
   for (const auto& shard : shards_) {
     std::lock_guard<StoreMutex> lock(shard->store_mutex);
     total += shard->fifo.size();
+  }
+  return total;
+}
+
+std::uint64_t RpEngine::EvictionSweepPops() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<StoreMutex> lock(shard->store_mutex);
+    total += shard->sweep_pops;
   }
   return total;
 }

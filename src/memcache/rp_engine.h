@@ -3,7 +3,7 @@
 // The keyspace is partitioned into EngineConfig::shards independent shards
 // (power of two). Each shard owns the whole engine column for its slice of
 // the keyspace: an RpHashMap, a background ResizeWorker, a store mutex, a
-// second-chance eviction queue, a slab allocator for value payloads, byte
+// CLOCK eviction queue, a slab allocator for value payloads, byte
 // accounting and stats counters. Keys route to shards by the high bits of
 // the same mixed hash the table uses for buckets (low bits), so shard
 // membership and bucket placement stay uncorrelated — and every request
@@ -15,7 +15,8 @@
 //
 // Within a shard, GET takes the fast path: a relativistic lookup copying
 // the value out inside the read-side critical section — no lock, no shared
-// write beyond a relaxed recency stamp. Per-key updates (DELETE, TOUCH,
+// write beyond relaxed per-item access stamps, each stored only when it
+// changes. Per-key updates (DELETE, TOUCH,
 // APPEND/PREPEND, INCR/DECR, REPLACE, CAS, expiry reclamation) go straight
 // to the shard's table, whose striped writer locks serialize them per
 // bucket; conditional forms (UpdateIf/EraseIf) make their check-then-act
@@ -109,6 +110,11 @@ class RpEngine final : public CacheEngine {
   // bounded-memory regression: an unlimited cache (max_items == 0 and
   // max_bytes == 0) must keep this at zero forever.
   std::size_t EvictionQueueDepth() const;
+
+  // Total entries the eviction sweeps have popped off the shards' queues.
+  // Test hook for the CLOCK bound: every requeue consumes a reference bit,
+  // so pops stay within a small multiple of evictions plus reclaims.
+  std::uint64_t EvictionSweepPops() const;
 
   // Runs one maintenance tick for `shard_index` synchronously on the
   // calling thread — exactly what the shard's resize worker runs every

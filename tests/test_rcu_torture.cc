@@ -38,6 +38,7 @@ void TortureRun(int num_readers, int num_updaters, int updates_per_updater) {
   shared.load()->Fill(1);
 
   std::atomic<bool> stop{false};
+  std::atomic<int> readers_started{0};
   std::atomic<std::uint64_t> reads{0};
   std::atomic<std::uint64_t> invalid{0};
 
@@ -56,7 +57,9 @@ void TortureRun(int num_readers, int num_updaters, int updates_per_updater) {
             invalid.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        ++local_reads;
+        if (++local_reads == 1) {
+          readers_started.fetch_add(1, std::memory_order_relaxed);
+        }
         if constexpr (kQsbr) {
           if (local_reads % 16 == 0) {
             Qsbr::QuiescentState();
@@ -70,6 +73,11 @@ void TortureRun(int num_readers, int num_updaters, int updates_per_updater) {
     });
   }
 
+  // Updaters start only once every reader has completed a read, so a
+  // writer that finishes fast can never leave the run with no reads.
+  while (readers_started.load(std::memory_order_relaxed) < num_readers) {
+    std::this_thread::yield();
+  }
   std::vector<std::thread> updaters;
   std::atomic<std::uint64_t> version{2};
   for (int i = 0; i < num_updaters; ++i) {
