@@ -1,35 +1,25 @@
-// abl14: the maintenance plane — what the per-shard tick buys.
+// abl14: the maintenance plane and store-batch op combining.
 //
-// PR 7 piggybacks a maintenance tick on each shard's resize-worker poll:
-// hot-key detection feeding a seqlock-published front cache (plus SET op
-// combining inside store batches), slab automove between size classes,
-// and inline pumping of the deferred-reclamation queue so the dedicated
-// reclaimer idles under light load. Four questions, each with a
-// with/without pair:
+// Each shard runs a maintenance tick on its resize-worker poll: slab
+// automove between size classes, an expired-item crawl, and inline
+// pumping of the deferred-reclamation queue so the dedicated reclaimer
+// idles under light load. Three cases:
 //
-//  1. Front cache: a GET of a promoted hot key reads a sealed snapshot
-//     (no table walk, no epoch section) — against the identical GET with
-//     the front cache disabled (`hot_key_cache=false`).
-//  2. Op combining: a 16-op StoreMany burst drawn from the adversarial
-//     hot-key workload profile (WorkloadConfig::hot_key_count/share),
-//     where repeated SETs of the same key coalesce into the last one —
-//     against the same burst with combining off. `combines/op` shows how
-//     much of the burst evaporates.
-//  3. Automove: a store loop against a one-page arena calcified under a
+//  1. Op combining: a 16-op StoreMany burst where most SETs land on a
+//     handful of keys, so repeated SETs of the same key coalesce into the
+//     last one. `combines/op` shows how much of the burst evaporates.
+//  2. Automove: a store loop against a one-page arena calcified under a
 //     dead size class. With the page pinned by live items every store is
 //     a heap fallback; once the old items die the tick's automover
 //     reassigns the page and `fallbacks/op` returns to ~0.
-//  4. Reclaimer scheduling: retirement churn with an armed inline pumper
+//  3. Reclaimer scheduling: retirement churn with an armed inline pumper
 //     (maintenance ticks drain small batches, the reclaimer thread stays
 //     parked) against the unarmed queue — `wakeups/op` is the futex/
 //     thread-switch traffic the maintenance plane removes.
 //
-// Plus one macro case: the full workload driver under the flash-crowd
-// profile (90% of ops on 4 keys), front cache on vs off.
-//
 // Single-core caveat (see docs/BENCHMARKS.md): on a 1-core box the
-// throughput deltas compress; the counters (front share, combines/op,
-// fallbacks/op, wakeups/op) are the load-bearing evidence.
+// throughput deltas compress; the counters (combines/op, fallbacks/op,
+// wakeups/op) are the load-bearing evidence.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -51,105 +41,35 @@ using rp::memcache::RpEngine;
 using rp::memcache::StoreKind;
 using rp::memcache::StoreOp;
 using rp::memcache::StoreResult;
-using rp::memcache::StoredValue;
-using rp::memcache::WorkloadConfig;
-using rp::memcache::WorkloadResult;
 
-constexpr std::size_t kValueSize = 64;  // embeddable → front-cacheable
+constexpr std::size_t kValueSize = 64;  // embeddable in the node chunk
 constexpr std::size_t kBatch = 16;
 
-EngineConfig FrontConfig(bool hot_key_cache) {
+// -- 1. Skewed-SET op combining -------------------------------------------
+
+// A flash-crowd burst: kHotShare of the SETs land on kHotKeys keys, the
+// rest spread over kNumKeys, so a pipelined SET run carries many rewrites
+// of the same key and all but the last are wasted work.
+constexpr std::size_t kNumKeys = 1024;
+constexpr std::size_t kHotKeys = 4;
+constexpr double kHotShare = 0.875;
+
+std::size_t DrawHotKey(rp::Xoshiro256& rng) {
+  if (rng.NextDouble() < kHotShare) {
+    return rng.NextBounded(kHotKeys);
+  }
+  return rng.NextBounded(kNumKeys);
+}
+
+void BM_SkewedSetCombining(benchmark::State& state) {
   EngineConfig config;
-  config.shards = 1;  // isolate the hit path, not shard routing
+  config.shards = 1;
   config.initial_buckets = 4096;
-  config.hot_key_cache = hot_key_cache;
-  return config;
-}
-
-// Hammer the key past the detector's sampling threshold, then run the
-// shard's tick synchronously so promotion is deterministic.
-void Promote(RpEngine& engine, const std::string& key) {
-  StoredValue out;
-  for (int i = 0; i < 512; ++i) {
-    engine.Get(key, &out);
-  }
-  engine.RunMaintenanceTick(engine.ShardIndex(key));
-}
-
-// -- 1. Front-cache GET vs table-walk GET ---------------------------------
-
-void BM_HotGetFrontCache(benchmark::State& state) {
-  static RpEngine engine(FrontConfig(true));
-  static const std::string key = "celebrity";
-  static const std::string payload(kValueSize, 'v');
-  engine.Set(key, payload, 0, 0);
-  Promote(engine, key);
-
-  const EngineStats before = engine.Stats();
-  StoredValue out;
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Get(key, &out));
-    ++ops;
-  }
-  const EngineStats after = engine.Stats();
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-  // Share of GETs served by the snapshot; ~1.0 when promotion held.
-  state.counters["front_share"] = benchmark::Counter(
-      static_cast<double>(after.front_cache_hits - before.front_cache_hits) /
-      static_cast<double>(ops));
-}
-
-void BM_HotGetTableWalk(benchmark::State& state) {
-  static RpEngine engine(FrontConfig(false));
-  static const std::string key = "celebrity";
-  static const std::string payload(kValueSize, 'v');
-  engine.Set(key, payload, 0, 0);
-
-  StoredValue out;
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Get(key, &out));
-    ++ops;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-
-// -- 2. Skewed-SET op combining -------------------------------------------
-
-// The adversarial flash-crowd shape from the workload driver: most of the
-// burst lands on a handful of keys, so a pipelined SET run carries many
-// rewrites of the same key and all but the last are wasted work.
-const WorkloadConfig& HotProfile() {
-  static const WorkloadConfig config = [] {
-    WorkloadConfig c;
-    c.num_keys = 1024;
-    c.hot_key_count = 4;
-    c.hot_key_share = 0.875;
-    return c;
-  }();
-  return config;
-}
-
-std::size_t DrawHotKey(const WorkloadConfig& profile, rp::Xoshiro256& rng) {
-  if (rng.NextDouble() < profile.hot_key_share) {
-    return rng.NextBounded(profile.hot_key_count);
-  }
-  return rng.NextBounded(profile.num_keys);
-}
-
-void SkewedSetLoop(benchmark::State& state, bool combining) {
-  static RpEngine* engines[2] = {nullptr, nullptr};
-  RpEngine*& slot = engines[combining ? 1 : 0];
-  if (slot == nullptr) {
-    EngineConfig config = FrontConfig(combining);
-    slot = new RpEngine(config);  // leaked: gbench re-enters for timing
-  }
-  RpEngine& engine = *slot;
+  static RpEngine engine(config);
   static const std::string payload(kValueSize, 'v');
   std::vector<std::string> keys;
-  keys.reserve(HotProfile().num_keys);
-  for (std::size_t i = 0; i < HotProfile().num_keys; ++i) {
+  keys.reserve(kNumKeys);
+  for (std::size_t i = 0; i < kNumKeys; ++i) {
     keys.push_back(rp::memcache::WorkloadKey(i));
   }
 
@@ -162,7 +82,7 @@ void SkewedSetLoop(benchmark::State& state, bool combining) {
     for (std::size_t i = 0; i < kBatch; ++i) {
       ops[i] = StoreOp{};
       ops[i].kind = StoreKind::kSet;
-      ops[i].key = keys[DrawHotKey(HotProfile(), rng)];
+      ops[i].key = keys[DrawHotKey(rng)];
       ops[i].data = payload;
     }
     engine.StoreMany(ops, kBatch, results);
@@ -175,15 +95,7 @@ void SkewedSetLoop(benchmark::State& state, bool combining) {
       static_cast<double>(total));
 }
 
-void BM_SkewedSetCombining(benchmark::State& state) {
-  SkewedSetLoop(state, true);
-}
-
-void BM_SkewedSetNoCombining(benchmark::State& state) {
-  SkewedSetLoop(state, false);
-}
-
-// -- 3. Calcified arena: automove recovery --------------------------------
+// -- 2. Calcified arena: automove recovery --------------------------------
 
 // One-page value arena (arena_bytes = max_bytes = 4 KiB clamps page_bytes
 // to the whole arena), carved for a mid class the measured stores never
@@ -256,7 +168,7 @@ void BM_CalcifiedStoreRecovered(benchmark::State& state) {
   CalcifiedStoreLoop(state, /*pinned=*/false);
 }
 
-// -- 4. Reclaimer wakeups: armed inline pump vs dedicated thread ----------
+// -- 3. Reclaimer wakeups: armed inline pump vs dedicated thread ----------
 
 void ReclaimerLoop(benchmark::State& state, bool armed) {
   // A private queue with a no-op grace period isolates the scheduling
@@ -296,57 +208,11 @@ void BM_ReclaimerUnarmed(benchmark::State& state) {
   ReclaimerLoop(state, false);
 }
 
-// -- 5. Macro: the flash-crowd workload end to end ------------------------
-
-void HotWorkloadLoop(benchmark::State& state, bool hot_key_cache) {
-  static RpEngine* engines[2] = {nullptr, nullptr};
-  RpEngine*& slot = engines[hot_key_cache ? 1 : 0];
-  if (slot == nullptr) {
-    slot = new RpEngine(FrontConfig(hot_key_cache));
-  }
-  WorkloadConfig config = HotProfile();
-  config.num_clients = 1;
-  config.value_size = kValueSize;
-  config.get_ratio = 0.9;
-  config.sets_per_request = 4;
-  config.duration_seconds = 0.05;
-  double rps = 0.0;
-  std::uint64_t requests = 0;
-  int runs = 0;
-  for (auto _ : state) {
-    const WorkloadResult result = rp::memcache::RunWorkload(*slot, config);
-    rps += result.requests_per_second;
-    requests += result.total_requests;
-    ++runs;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(requests));
-  state.counters["workload_rps"] =
-      benchmark::Counter(runs != 0 ? rps / runs : 0.0);
-  const EngineStats stats = slot->Stats();
-  state.counters["front_hits"] =
-      benchmark::Counter(static_cast<double>(stats.front_cache_hits));
-  state.counters["set_combines"] =
-      benchmark::Counter(static_cast<double>(stats.set_combines));
-}
-
-void BM_HotWorkloadFrontCache(benchmark::State& state) {
-  HotWorkloadLoop(state, true);
-}
-
-void BM_HotWorkloadBaseline(benchmark::State& state) {
-  HotWorkloadLoop(state, false);
-}
-
-BENCHMARK(BM_HotGetFrontCache)->Threads(1)->UseRealTime();
-BENCHMARK(BM_HotGetTableWalk)->Threads(1)->UseRealTime();
 BENCHMARK(BM_SkewedSetCombining)->Threads(1)->UseRealTime();
-BENCHMARK(BM_SkewedSetNoCombining)->Threads(1)->UseRealTime();
 BENCHMARK(BM_CalcifiedStorePinned)->Threads(1)->UseRealTime();
 BENCHMARK(BM_CalcifiedStoreRecovered)->Threads(1)->UseRealTime();
 BENCHMARK(BM_ReclaimerArmedPump)->Threads(1)->UseRealTime();
 BENCHMARK(BM_ReclaimerUnarmed)->Threads(1)->UseRealTime();
-BENCHMARK(BM_HotWorkloadFrontCache)->Threads(1)->UseRealTime();
-BENCHMARK(BM_HotWorkloadBaseline)->Threads(1)->UseRealTime();
 
 }  // namespace
 

@@ -28,8 +28,6 @@ HARNESS_BENCHES=(
   abl4_update_mix
   abl5_expand_strategy
   abl7_xu_comparison
-  abl8_radix_tree
-  abl9_tree_scaling
   abl10_writer_scaling
 )
 

@@ -55,9 +55,9 @@ struct ResizeWorkerOptions {
   bool flush_deferred_after_resize = true;
   // Invoked once per worker wakeup (nudge or poll tick), outside the
   // worker's own lock and after the resize check. The owner piggybacks its
-  // maintenance plane on this thread — hot-key promotion, slab automove,
-  // expired-item crawling, inline reclaimer pumping — instead of paying a
-  // second periodic thread per shard. Must be cheap and must not block on
+  // maintenance plane on this thread — slab automove, expired-item
+  // crawling, inline reclaimer pumping — instead of paying a second
+  // periodic thread per shard. Must be cheap and must not block on
   // writer-held locks for long; it runs at poll_interval cadence.
   std::function<void()> maintenance_tick;
 };

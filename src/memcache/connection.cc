@@ -149,11 +149,9 @@ void ExecuteRequest(CacheEngine& engine, const Request& request,
       // and the ops they carried (see docs/PROTOCOL.md).
       AppendStat(out, "store_batches", stats.store_batches);
       AppendStat(out, "store_batched_ops", stats.store_batched_ops);
-      // Maintenance-plane observability (see docs/PROTOCOL.md): hot-key
-      // front cache, write combining, slab automove, expired-item crawl,
-      // and the health of the process-wide deferred reclaimer.
-      AppendStat(out, "hot_key_promotions", stats.hot_key_promotions);
-      AppendStat(out, "front_cache_hits", stats.front_cache_hits);
+      // Maintenance-plane observability (see docs/PROTOCOL.md): write
+      // combining, slab automove, expired-item crawl, and the health of
+      // the process-wide deferred reclaimer.
       AppendStat(out, "set_combines", stats.set_combines);
       AppendStat(out, "slab_pages_moved", stats.slab_pages_moved);
       AppendStat(out, "crawler_reclaims", stats.crawler_reclaims);

@@ -104,12 +104,6 @@ struct EngineConfig {
   // exact-size tracked heap allocations — the per-item-malloc baseline.
   double slab_growth = 1.25;
   std::size_t slab_chunk_max = 8 * 1024;
-  // Hot-key front cache (RP engine only): the maintenance tick promotes
-  // the most-hammered keys into a per-shard seqlock-published snapshot so
-  // their GETs skip the table walk, and repeated SETs to a promoted key
-  // coalesce inside a store batch. Off = every GET walks the table (the
-  // abl14 ablation baseline).
-  bool hot_key_cache = true;
 };
 
 // The slab geometry an engine derives from its config for each of
@@ -185,10 +179,8 @@ struct EngineStats {
   std::uint64_t store_batches = 0;
   std::uint64_t store_batched_ops = 0;
   // -- Maintenance plane (PR 7). All zero on engines without one. ---------
-  // Keys promoted into the hot-key front cache by the maintenance tick.
-  std::uint64_t hot_key_promotions = 0;
-  // GETs served from the front cache (no table walk; also counted in
-  // get_hits — this is a breakdown, not an addition).
+  // Always 0: no engine has a front cache. Kept only because perfbench
+  // reads it; it goes at the next change to the benchmark.
   std::uint64_t front_cache_hits = 0;
   // SETs coalesced away by store-batch op combining (still counted in
   // `sets`; the combined op's effect survives via the batch's last SET).

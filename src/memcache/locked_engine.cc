@@ -402,8 +402,8 @@ EngineStats LockedEngine::Stats() const {
   stats.slab_pages_moved = slab.pages_moved;
   // Reclaimer health is process-global (one RCU domain, one callback
   // queue); the locked engine reports the same numbers the RP engine does.
-  // Its own maintenance counters (promotions, front hits, combines,
-  // crawls) stay zero — the maintenance plane is an RP-engine subsystem.
+  // Its own maintenance counters (combines, crawls) stay zero — the
+  // maintenance plane is an RP-engine subsystem.
   rcu::RcuCallbackQueue& reclaimer = rcu::Epoch::Callbacks();
   stats.reclaimer_pending = reclaimer.pending();
   stats.reclaimer_wakeups = reclaimer.wakeups();

@@ -1,7 +1,6 @@
 #include "src/memcache/rp_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <cstddef>
 #include <cstring>
@@ -16,7 +15,6 @@
 #include "src/rcu/callback.h"
 #include "src/rcu/epoch.h"
 #include "src/rcu/reclaimer.h"
-#include "src/sync/seqlock.h"
 
 namespace rp::memcache {
 
@@ -233,61 +231,12 @@ void StampGet(const CacheValue& value, std::int64_t now,
 
 // -- Maintenance-plane geometry ------------------------------------------
 
-// Hot-key front cache: direct-mapped ways per shard (way = hash & mask).
-constexpr std::size_t kFrontWays = 4;
-// Detector: lossy per-stripe op counters (stripe = middle hash bits), and
-// the size of the space-saving candidate table they feed.
-constexpr std::size_t kStripeCounters = 64;
-constexpr std::size_t kCandidates = 8;
-// Every kDetectorSample-th op on a stripe feeds the candidate table; a
-// candidate needs kPromoteThreshold sampled observations within one tick
-// window to earn a way. At the 64x sampling rate that means a key must
-// absorb on the order of a quarter of a stripe's recent traffic — a real
-// hot key, not a lucky one.
-constexpr std::uint32_t kDetectorSample = 64;
-constexpr std::uint32_t kPromoteThreshold = 4;
 // Crawler: buckets walked and dead keys collected per tick. Small on
 // purpose — the tick shares the resize worker's thread.
 constexpr std::size_t kCrawlBuckets = 8;
 constexpr std::size_t kCrawlReclaimMax = 32;
 // Upper bound on callbacks the tick's inline reclaimer pump will run.
 constexpr std::size_t kTickPumpMax = 128;
-
-// Snapshot of one promoted item, published through a SeqlockBytes region.
-// Flat by construction (the seqlock copies raw words): key and value bytes
-// are inlined, which caps front-cacheable values at kEmbedMaxData — the
-// same class the combined item layout embeds, so "small enough to embed"
-// and "small enough to front-cache" are one boundary. expire_at/stored_at
-// ride along so the GET fast path applies the SAME liveness rules
-// (IsExpired/IsFlushed against the shard's current flush_at) as a table
-// walk would — the front cache can go stale only in ways a mutation
-// invalidates, never through time alone.
-// Key and value bytes are PACKED back to back in `bytes` (key first)
-// rather than given fixed slots, so a hit's seqlock read copies only
-// header + key_len + value_len bytes instead of the full region — for a
-// typical small key/value that is ~7x fewer atomic word loads, and it is
-// what lets the front-cache GET beat the table walk (abl14).
-// Trivially constructible ON PURPOSE: a front-cache GET declares one on
-// its stack, and zero-initializing the 500+ byte region per GET would
-// cost more than the table walk it bypasses. Every byte the reader
-// inspects was copied by TryReadPrefix first.
-struct FrontSnap {
-  std::size_t hash;
-  std::uint64_t cas;
-  std::int64_t expire_at;
-  std::int64_t stored_at;
-  std::uint32_t flags;
-  std::uint16_t key_len;
-  std::uint16_t value_len;
-  char bytes[256 + kEmbedMaxData];  // protocol caps keys at 250 bytes
-
-  const char* key_bytes() const { return bytes; }
-  const char* value_bytes() const { return bytes + key_len; }
-};
-constexpr std::size_t kFrontMaxKey = 256;
-constexpr std::size_t kFrontHeaderBytes = offsetof(FrontSnap, bytes);
-static_assert(sizeof(FrontSnap) % 8 == 0, "seqlock region is word-copied");
-static_assert(kFrontHeaderBytes % 8 == 0, "packed bytes start word-aligned");
 
 }  // namespace
 
@@ -389,63 +338,13 @@ struct RpEngine::Shard {
   std::atomic<std::uint64_t> next_cas;
   const std::uint64_t cas_step;
 
-  // -- Hot-key front cache ------------------------------------------------
-  //
-  // One seqlock-published snapshot per way. Coherence protocol (the
-  // "never serves a value the table would not" invariant, enforced by the
-  // conformance matrix and the TSan torture suite):
-  //   * Only the maintenance tick publishes (PublishFrontWay), reading the
-  //     value from the table itself — never from request-path state.
-  //   * EVERY mutation that commits to the table calls InvalidateFront
-  //     AFTER its table call returns: it bumps the way's inval_gen and
-  //     clears the tag if this key is the promoted one. The publisher
-  //     rechecks inval_gen under write_mu before publishing, so a snapshot
-  //     read concurrently with a mutation can never be published after it.
-  //   * The mutator's fence/counter handshake with front_inflight closes
-  //     the window where a promotion is mid-flight but not yet visible.
-  struct FrontEntry {
-    // 0 = way empty; otherwise the promoted key's full mixed hash. GETs
-    // compare the full key bytes from the snapshot, so a colliding key
-    // simply falls through to the table walk.
-    std::atomic<std::size_t> tag{0};
-    // Bumped (under write_mu) by every mutation routed to this way.
-    std::atomic<std::uint64_t> inval_gen{0};
-    // Serializes publisher vs invalidator metadata transitions. Leaf lock:
-    // nothing is acquired under it.
-    std::mutex write_mu;
-    sync::SeqlockBytes<sizeof(FrontSnap)> snap;
-  };
-  FrontEntry front[kFrontWays];
-  // Ways currently published / promotions currently in flight. Mutations
-  // fence then read both; 0+0 means no invalidation work is possible, so
-  // an engine with a cold front cache pays one fence and two relaxed
-  // loads per mutation.
-  std::atomic<std::size_t> front_active{0};
-  std::atomic<std::size_t> front_inflight{0};
-
-  // Detector: lossy per-stripe op counters (plain relaxed load+store — a
-  // dropped increment under a race is noise) feeding a small space-saving
-  // candidate table under try-lock.
-  std::array<std::atomic<std::uint32_t>, kStripeCounters> op_counts{};
-  std::mutex cand_mu;
-  struct Candidate {
-    std::size_t hash = 0;
-    std::uint32_t count = 0;
-    std::string key;
-  };
-  Candidate cands[kCandidates];
-
   // Tick-private state, guarded by tick_mu (the RunMaintenanceTick test
   // hook may race the worker's own tick).
   std::mutex tick_mu;
-  std::string front_keys[kFrontWays];  // key owned by each claimed way
-  std::size_t front_hashes[kFrontWays] = {};
   std::vector<std::uint64_t> automove_seen;  // last-seen exhaustion counts
   std::size_t crawl_cursor = 0;
 
   // Maintenance-plane counters (surfaced through EngineStats).
-  std::atomic<std::uint64_t> hot_key_promotions{0};
-  std::atomic<std::uint64_t> front_cache_hits{0};
   std::atomic<std::uint64_t> set_combines{0};
   std::atomic<std::uint64_t> crawler_reclaims{0};
 
@@ -526,56 +425,10 @@ bool RpEngine::Get(const std::string& key, StoredValue* out) {
   Shard& shard = ShardForHash(hash.value);
   const std::int64_t now = NowSeconds();
   const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  if (config_.hot_key_cache) {
-    // Hot-key fast path: a promoted key answers from the seqlock snapshot
-    // — no epoch section, no bucket walk, no node dereference. Liveness is
-    // re-derived from the snapshot's own expire_at/stored_at against the
-    // CURRENT clock and flush deadline, so time- and flush-based death
-    // need no invalidation to be observed. Any failure (torn read, tag or
-    // key mismatch, dead) falls through to the table walk.
-    if (shard.front_active.load(std::memory_order_acquire) != 0) {
-      Shard::FrontEntry& entry = shard.front[hash.value & (kFrontWays - 1)];
-      if (entry.tag.load(std::memory_order_acquire) == hash.value) {
-        FrontSnap snap;
-        const bool read_ok = entry.snap.TryReadPrefix(
-            &snap, kFrontHeaderBytes, [](const void* header) {
-              const auto* s = static_cast<const FrontSnap*>(header);
-              return kFrontHeaderBytes + s->key_len + s->value_len;
-            });
-        if (read_ok && snap.hash == hash.value &&
-            snap.key_len == key.size() &&
-            std::memcmp(snap.key_bytes(), key.data(), key.size()) == 0 &&
-            !IsExpired(snap.expire_at, now) &&
-            !IsFlushed(snap.stored_at, flush_at, now)) {
-          out->data.assign(snap.value_bytes(), snap.value_len);
-          out->flags = snap.flags;
-          out->cas = snap.cas;
-          out->expire_at = snap.expire_at;
-          // The bypass path never touches the table node, so it cannot
-          // stamp (or read) its recency/fetched metadata; report the item
-          // as recently-fetched, which is what a front hit means. The meta
-          // protocol's mg path uses GetManyScratch (table-only), so the
-          // l/h flags it reports stay exact.
-          out->last_used = now;
-          out->fetched = true;
-          // One RMW, not two: front hits are folded into get_hits at
-          // Stats() time, keeping the bypass path's counter cost at a
-          // single uncontended fetch_add.
-          shard.front_cache_hits.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-    }
-    // Detector accounting only on fall-through: a front hit proves the
-    // key is already promoted, and keeping the bypass path free of the
-    // stripe counter is part of why it beats the walk. The decayed
-    // incumbent is protected by PromoteHotKeys' displacement bar.
-    NoteOp(shard, hash.value, key);
-  }
   bool dead = false;
-  // Fast path: relativistic lookup; value copied inside the read-side
-  // critical section, so the node (and its slab chunk) may be reclaimed
-  // the instant we return.
+  // Relativistic lookup; value copied inside the read-side critical
+  // section, so the node (and its slab chunk) may be reclaimed the instant
+  // we return.
   const bool found = shard.table.With(hash, key, [&](const CacheValue& value) {
     if (!IsLive(value, flush_at, now)) {
       dead = true;
@@ -727,7 +580,6 @@ bool RpEngine::ReclaimDead(Shard& shard, core::Prehashed hash,
         return true;
       });
   if (erased) {
-    InvalidateFront(shard, hash.value);
     shard.expired_reclaims.fetch_add(1, std::memory_order_relaxed);
     shard.resize_worker.Nudge();
   }
@@ -773,7 +625,6 @@ void RpEngine::EvictLocked(Shard& shard) {
       return true;
     });
     if (erased) {
-      InvalidateFront(shard, Hasher{}(victim));
       if (was_dead) {
         shard.expired_reclaims.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -822,7 +673,6 @@ void RpEngine::EvictForClassLocked(Shard& shard,
           return true;
         });
     if (erased) {
-      InvalidateFront(shard, Hasher{}(victim));
       if (matched) {
         --matches;
       }
@@ -993,7 +843,6 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
         g_staged_payload = op.data;
       }
       *inserted = PublishValueLocked(shard, hash, op.key, std::move(value));
-      InvalidateFront(shard, hash.value);
       return StoreResult::kStored;
     }
     case StoreKind::kAdd: {
@@ -1042,7 +891,6 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
         return StoreResult::kNotStored;
       }
       if (replaced) {
-        InvalidateFront(shard, hash.value);
         return StoreResult::kStored;
       }
       if (shard.table.Insert(hash, op.key, std::move(value))) {
@@ -1053,7 +901,6 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
           shard.fifo.push_back(std::string(op.key));
         }
         *inserted = true;
-        InvalidateFront(shard, hash.value);
         return StoreResult::kStored;
       }
       // Insert race: a concurrent lock-free add of the same key published
@@ -1064,16 +911,10 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
     case StoreKind::kReplace:
     case StoreKind::kAppend:
     case StoreKind::kPrepend:
-    case StoreKind::kCas: {
-      const StoreResult result =
-          op.kind == StoreKind::kReplace || op.kind == StoreKind::kCas
-              ? OverwriteCore(shard, hash, op, now)
-              : ConcatCore(shard, hash, op, now);
-      if (result == StoreResult::kStored) {
-        InvalidateFront(shard, hash.value);
-      }
-      return result;
-    }
+    case StoreKind::kCas:
+      return op.kind == StoreKind::kReplace || op.kind == StoreKind::kCas
+                 ? OverwriteCore(shard, hash, op, now)
+                 : ConcatCore(shard, hash, op, now);
     case StoreKind::kDelete: {
       // A per-key conditional erase: the byte refund happens under the
       // key's stripe, and the eviction queue tolerates stale keys (the
@@ -1096,7 +937,6 @@ StoreResult RpEngine::StoreOneLocked(Shard& shard, core::Prehashed hash,
       if (!erased) {
         return StoreResult::kNotFound;
       }
-      InvalidateFront(shard, hash.value);
       *inserted = true;
       if (!was_live) {
         shard.expired_reclaims.fetch_add(1, std::memory_order_relaxed);
@@ -1137,33 +977,30 @@ void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
     combined[i] = 0;
   }
 
-  // Op combining (the hot-key write-side defense): a SET whose NEXT op on
-  // the same key within this batch is also a SET is dead work — nothing
-  // can observe its value before the later SET overwrites it, because the
-  // batch executes under one store-mutex section in request order. Mark it
-  // combined: it answers STORED and counts in `sets` (wire semantics
-  // identical to per-op execution) but skips the allocation, the table
-  // publish and its eviction sweep; the surviving SET performs the one
-  // real insert, so total_items and the byte gauge land exactly where
-  // per-op execution would leave them. Any intervening op on the key (add,
-  // append, cas, ...) disqualifies the pair — its result could depend on
-  // the earlier SET having landed. Gated with the front cache: together
-  // they are the hot-key defense, and the off state is the ablation
-  // baseline.
-  if (config_.hot_key_cache) {
-    for (std::size_t j = 0; j + 1 < count; ++j) {
-      if (ops[j].kind != StoreKind::kSet) {
+  // Op combining: a SET whose NEXT op on the same key within this batch is
+  // also a SET is dead work — nothing can observe its value before the
+  // later SET overwrites it, because the batch executes under one
+  // store-mutex section in request order. Mark it combined: it answers
+  // STORED and counts in `sets` (wire semantics identical to per-op
+  // execution) but skips the allocation, the table publish and its
+  // eviction sweep; the surviving SET performs the one real insert, so
+  // total_items and the byte gauge land exactly where per-op execution
+  // would leave them. Any intervening op on the key (add, append, cas,
+  // delete, ...) disqualifies the pair — its result could depend on the
+  // earlier SET having landed. Always on: the scan is a few compares per
+  // op, and a pipelined burst that rewrites a key saves a whole publish.
+  for (std::size_t j = 0; j + 1 < count; ++j) {
+    if (ops[j].kind != StoreKind::kSet) {
+      continue;
+    }
+    for (std::size_t k = j + 1; k < count; ++k) {
+      if (hashes[k] != hashes[j] || ops[k].key != ops[j].key) {
         continue;
       }
-      for (std::size_t k = j + 1; k < count; ++k) {
-        if (hashes[k] != hashes[j] || ops[k].key != ops[j].key) {
-          continue;
-        }
-        if (ops[k].kind == StoreKind::kSet) {
-          combined[j] = 1;
-        }
-        break;  // the first later op on the key decides
+      if (ops[k].kind == StoreKind::kSet) {
+        combined[j] = 1;
       }
+      break;  // the first later op on the key decides
     }
   }
 
@@ -1358,7 +1195,6 @@ ArithResult RpEngine::Arith(const std::string& key, std::uint64_t delta,
   if (status != ArithStatus::kOk) {
     return {status, 0};
   }
-  InvalidateFront(shard, hash.value);
   // "9" -> "10" and friends grow the gauge too; the store mutex is taken
   // only when the shard is actually over budget.
   if (track_eviction_ && OverLimit(shard)) {
@@ -1384,16 +1220,12 @@ bool RpEngine::Touch(const std::string& key, std::int64_t exptime) {
   Shard& shard = ShardForHash(hash.value);
   const std::int64_t now = NowSeconds();
   const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  const bool touched = shard.table.UpdateIf(
+  return shard.table.UpdateIf(
       hash, key,
       [&](const CacheValue& value) { return IsLive(value, flush_at, now); },
       [&](CacheValue& value) {
         value.expire_at = ResolveExptime(exptime, now);
       });
-  if (touched) {
-    InvalidateFront(shard, hash.value);
-  }
-  return touched;
 }
 
 // Flush fans out across shards. An immediate flush physically clears each
@@ -1412,11 +1244,6 @@ void RpEngine::FlushAll(std::int64_t delay_seconds) {
     const std::int64_t at = ResolveExptime(delay_seconds, now);
     for (auto& shard : shards_) {
       shard->flush_at.store(at, std::memory_order_relaxed);
-      // Front snapshots carry stored_at, so GETs observe the new deadline
-      // through IsFlushed without this — but invalidating keeps the "every
-      // mutation invalidates" rule unconditional, which is what the
-      // conformance matrix pins.
-      InvalidateAllFront(*shard);
     }
     return;
   }
@@ -1432,16 +1259,14 @@ void RpEngine::FlushAll(std::int64_t delay_seconds) {
     });
     shard->fifo.clear();
     shard->flush_at.store(kNoFlush, std::memory_order_relaxed);
-    InvalidateAllFront(*shard);
   }
 }
 
 // -- Maintenance plane ----------------------------------------------------
 //
 // One tick per shard, piggybacked on the shard's resize-worker wakeup (and
-// runnable synchronously through RunMaintenanceTick). The tick hosts the
-// three cooperating optimizers: hot-key promotion, slab automove, and the
-// expired-item crawl + inline reclaimer pump.
+// runnable synchronously through RunMaintenanceTick). The tick hosts slab
+// automove, the expired-item crawl and the inline reclaimer pump.
 
 void RpEngine::RunMaintenanceTick(std::size_t shard_index) {
   MaintenanceTick(*shards_[shard_index]);
@@ -1449,9 +1274,6 @@ void RpEngine::RunMaintenanceTick(std::size_t shard_index) {
 
 void RpEngine::MaintenanceTick(Shard& shard) {
   std::lock_guard<std::mutex> lock(shard.tick_mu);
-  if (config_.hot_key_cache) {
-    PromoteHotKeys(shard);
-  }
   AutomoveTick(shard);
   CrawlerTick(shard);
   // Pump a small pending callback batch inline: under light load the
@@ -1459,218 +1281,6 @@ void RpEngine::MaintenanceTick(Shard& shard) {
   // thread never wakes (its wake threshold is kArmedWakeDepth while
   // pumpers are armed).
   rcu::Epoch::Callbacks().TryPump(kTickPumpMax);
-}
-
-void RpEngine::NoteOp(Shard& shard, std::size_t hash, std::string_view key) {
-  // Lossy per-stripe counter: plain load+store on purpose — losing an
-  // increment under a race costs detection latency, never correctness.
-  std::atomic<std::uint32_t>& counter =
-      shard.op_counts[(hash >> 20) & (kStripeCounters - 1)];
-  const std::uint32_t n =
-      counter.load(std::memory_order_relaxed) + 1;
-  counter.store(n, std::memory_order_relaxed);
-  if ((n & (kDetectorSample - 1)) != 0) {
-    return;
-  }
-  // Sampled op: feed the space-saving candidate table. try_lock only —
-  // the hot path never waits on the detector.
-  std::unique_lock<std::mutex> lock(shard.cand_mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    return;
-  }
-  Shard::Candidate* empty = nullptr;
-  Shard::Candidate* min = &shard.cands[0];
-  for (Shard::Candidate& cand : shard.cands) {
-    if (cand.count != 0 && cand.hash == hash && cand.key == key) {
-      ++cand.count;
-      return;
-    }
-    if (cand.count == 0) {
-      empty = &cand;
-    }
-    if (cand.count < min->count) {
-      min = &cand;
-    }
-  }
-  if (empty != nullptr) {
-    empty->hash = hash;
-    empty->key.assign(key.data(), key.size());
-    empty->count = 1;
-    return;
-  }
-  // Space-saving eviction: decay the coldest slot; replace it once drained.
-  if (--min->count == 0) {
-    min->hash = hash;
-    min->key.assign(key.data(), key.size());
-    min->count = 1;
-  }
-}
-
-void RpEngine::InvalidateFront(Shard& shard, std::size_t hash) {
-  // Pairs with PublishFrontWay's fence (store-buffering resolution): under
-  // seq_cst either the publisher's front_inflight increment is visible
-  // here, or this mutation's table commit is visible to the publisher's
-  // table read — never neither. A cold front cache exits after two relaxed
-  // loads.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (shard.front_active.load(std::memory_order_relaxed) == 0 &&
-      shard.front_inflight.load(std::memory_order_relaxed) == 0) {
-    return;
-  }
-  Shard::FrontEntry& entry = shard.front[hash & (kFrontWays - 1)];
-  std::lock_guard<std::mutex> lock(entry.write_mu);
-  // Any in-flight promotion that read the table before this mutation
-  // committed sees a changed generation and discards its snapshot.
-  entry.inval_gen.fetch_add(1, std::memory_order_release);
-  if (entry.tag.load(std::memory_order_relaxed) == hash) {
-    entry.tag.store(0, std::memory_order_release);
-    shard.front_active.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void RpEngine::InvalidateAllFront(Shard& shard) {
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (shard.front_active.load(std::memory_order_relaxed) == 0 &&
-      shard.front_inflight.load(std::memory_order_relaxed) == 0) {
-    return;
-  }
-  for (Shard::FrontEntry& entry : shard.front) {
-    std::lock_guard<std::mutex> lock(entry.write_mu);
-    entry.inval_gen.fetch_add(1, std::memory_order_release);
-    if (entry.tag.load(std::memory_order_relaxed) != 0) {
-      entry.tag.store(0, std::memory_order_release);
-      shard.front_active.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-bool RpEngine::PublishFrontWay(Shard& shard, std::size_t way) {
-  const std::string& key = shard.front_keys[way];
-  const std::size_t hash = shard.front_hashes[way];
-  Shard::FrontEntry& entry = shard.front[way];
-  const std::int64_t now = NowSeconds();
-  const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  // Promotion window open: mutations committing from here on either see
-  // the inflight count (and bump inval_gen) or their commit is visible to
-  // the With() read below — the seq_cst fences on both sides exclude the
-  // stale-publish interleaving.
-  shard.front_inflight.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const std::uint64_t gen = entry.inval_gen.load(std::memory_order_acquire);
-  FrontSnap snap;
-  bool live = false;
-  shard.table.With(core::Prehashed{hash}, key, [&](const CacheValue& value) {
-    const std::string_view data = value.data.view();
-    if (!IsLive(value, flush_at, now) || data.size() > kEmbedMaxData ||
-        key.size() > kFrontMaxKey) {
-      return;
-    }
-    snap.hash = hash;
-    snap.cas = value.cas;
-    snap.expire_at = value.expire_at;
-    snap.stored_at = value.stored_at;
-    snap.flags = value.flags;
-    snap.key_len = static_cast<std::uint16_t>(key.size());
-    snap.value_len = static_cast<std::uint16_t>(data.size());
-    std::memcpy(snap.bytes, key.data(), key.size());
-    if (!data.empty()) {
-      std::memcpy(snap.bytes + key.size(), data.data(), data.size());
-    }
-    // Front hits bypass the table walk and its stamps; refresh last_used
-    // and the reference bit here every tick so the eviction sweep cannot
-    // mistake the shard's hottest item for a cold one.
-    value.last_used.store(now, std::memory_order_relaxed);
-    value.referenced.store(true, std::memory_order_relaxed);
-    live = true;
-  });
-  bool keep = true;
-  {
-    std::lock_guard<std::mutex> lock(entry.write_mu);
-    const bool was_active = entry.tag.load(std::memory_order_relaxed) != 0;
-    if (!live) {
-      // Key gone, dead, or too large to snapshot: demote the way.
-      if (was_active) {
-        entry.tag.store(0, std::memory_order_release);
-        shard.front_active.fetch_sub(1, std::memory_order_relaxed);
-      }
-      keep = false;
-    } else if (entry.inval_gen.load(std::memory_order_relaxed) == gen) {
-      entry.snap.Write(&snap,
-                       kFrontHeaderBytes + snap.key_len + snap.value_len);
-      if (!was_active) {
-        shard.front_active.fetch_add(1, std::memory_order_relaxed);
-        shard.hot_key_promotions.fetch_add(1, std::memory_order_relaxed);
-      }
-      entry.tag.store(hash, std::memory_order_release);
-    }
-    // else: a mutation raced the snapshot — leave the way as the
-    // invalidator left it; the key stays claimed and next tick retries.
-  }
-  shard.front_inflight.fetch_sub(1, std::memory_order_relaxed);
-  return keep;
-}
-
-void RpEngine::PromoteHotKeys(Shard& shard) {
-  // Harvest promotable candidates and decay everything: a key must keep
-  // re-earning its heat, so yesterday's hot key drains out of the table
-  // within a few ticks of going cold.
-  struct Hot {
-    std::size_t hash = 0;
-    std::uint32_t count = 0;
-    std::string key;  // copied under cand_mu — NoteOp mutates cands freely
-  };
-  Hot hot[kCandidates];
-  std::size_t n_hot = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.cand_mu);
-    for (Shard::Candidate& cand : shard.cands) {
-      if (cand.count >= kPromoteThreshold) {
-        hot[n_hot].hash = cand.hash;
-        hot[n_hot].count = cand.count;
-        hot[n_hot].key = cand.key;
-        ++n_hot;
-      }
-      cand.count /= 2;
-    }
-  }
-  std::sort(hot, hot + n_hot,
-            [](const Hot& a, const Hot& b) { return a.count > b.count; });
-  // Hottest-first way claims (way = hash & mask, same mapping as GET).
-  bool claimed[kFrontWays] = {};
-  for (std::size_t i = 0; i < n_hot; ++i) {
-    const std::size_t way = hot[i].hash & (kFrontWays - 1);
-    if (claimed[way]) {
-      continue;  // a hotter key already owns the way this tick
-    }
-    claimed[way] = true;
-    if (shard.front_keys[way] != hot[i].key) {
-      // A promoted key's front hits bypass NoteOp (the bypass is the whole
-      // point), so an incumbent's candidate count decays to zero while it
-      // is hottest of all. Displacing it must therefore clear a higher bar
-      // than first promotion — otherwise any barely-warm way collision
-      // steals the way and thrashes the shard's hottest key.
-      if (!shard.front_keys[way].empty() &&
-          hot[i].count < 2 * kPromoteThreshold) {
-        continue;
-      }
-      // Displacing the previous owner: clear its published entry first so
-      // the tag can never point at a snapshot of a different key.
-      InvalidateFront(shard, shard.front_hashes[way]);
-      shard.front_keys[way].assign(hot[i].key.data(), hot[i].key.size());
-      shard.front_hashes[way] = hot[i].hash;
-    }
-  }
-  // (Re)publish every claimed way — refresh keeps promoted SET-hot keys
-  // serving their latest value within one tick of invalidation.
-  for (std::size_t way = 0; way < kFrontWays; ++way) {
-    if (shard.front_keys[way].empty()) {
-      continue;
-    }
-    if (!PublishFrontWay(shard, way)) {
-      shard.front_keys[way].clear();
-      shard.front_hashes[way] = 0;
-    }
-  }
 }
 
 void RpEngine::AutomoveTick(Shard& shard) {
@@ -1768,10 +1378,7 @@ EngineStats RpEngine::Stats() const {
   stats.store_batched_ops =
       store_batched_ops_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
-    // get_hits counts every served GET; front-cache hits bump only their
-    // own counter on the hot path and are folded in here.
-    stats.get_hits += shard->get_hits.load(std::memory_order_relaxed) +
-                      shard->front_cache_hits.load(std::memory_order_relaxed);
+    stats.get_hits += shard->get_hits.load(std::memory_order_relaxed);
     stats.get_misses += shard->get_misses.load(std::memory_order_relaxed);
     stats.sets += shard->sets.load(std::memory_order_relaxed);
     stats.evictions += shard->evictions.load(std::memory_order_relaxed);
@@ -1781,10 +1388,6 @@ EngineStats RpEngine::Stats() const {
     stats.bytes += shard->bytes.load(std::memory_order_relaxed);
     stats.bytes_wasted += shard->bytes_wasted.load(std::memory_order_relaxed);
     stats.items += shard->table.Size();
-    stats.hot_key_promotions +=
-        shard->hot_key_promotions.load(std::memory_order_relaxed);
-    stats.front_cache_hits +=
-        shard->front_cache_hits.load(std::memory_order_relaxed);
     stats.set_combines += shard->set_combines.load(std::memory_order_relaxed);
     stats.crawler_reclaims +=
         shard->crawler_reclaims.load(std::memory_order_relaxed);

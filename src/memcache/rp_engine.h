@@ -74,10 +74,9 @@ class RpEngine final : public CacheEngine {
   // fetched-before) is captured for the meta t/l/h flags. Expired items
   // are reclaimed after every section has closed — reclamation takes
   // writer locks, which must never happen inside a read section (a resize
-  // holding the stripes waits for readers). Deliberately bypasses the
-  // hot-key front cache: every key answers from the table inside the
-  // group's read section, which keeps the one-epoch-per-batch invariant
-  // exact (tests pin it) and the h flag accurate.
+  // holding the stripes waits for readers). Every key answers from the
+  // table inside its group's read section — one epoch enter/exit per
+  // group, which tests pin.
   void GetManyScratch(const std::string_view* keys, std::size_t count,
                       ScratchGetResult* out, std::string* scratch) override;
   // Every store, singletons included: ops are hashed once up front and
@@ -118,8 +117,8 @@ class RpEngine final : public CacheEngine {
 
   // Runs one maintenance tick for `shard_index` synchronously on the
   // calling thread — exactly what the shard's resize worker runs every
-  // poll. Test/bench hook: hammer a key, call this, and the promotion (or
-  // automove, or crawl step) has deterministically happened.
+  // poll. Test/bench hook: call this, and the automove step, the crawl
+  // step and the inline reclaimer pump have deterministically happened.
   void RunMaintenanceTick(std::size_t shard_index);
 
  private:
@@ -159,26 +158,11 @@ class RpEngine final : public CacheEngine {
 
   // -- Maintenance plane (runs on each shard's resize-worker thread) ------
 
-  // The per-shard tick: hot-key promotion/refresh, slab automove, a
-  // bounded expired-item crawl, and an inline reclaimer pump.
+  // The per-shard tick: slab automove, a bounded expired-item crawl, and
+  // an inline reclaimer pump.
   void MaintenanceTick(Shard& shard);
-  // Detector scan: fold the candidate table into the promoted way set.
-  void PromoteHotKeys(Shard& shard);
-  // (Re)publishes way `way`'s key from the table into its front-cache
-  // snapshot; false demotes the way (key gone, dead, or value too large).
-  bool PublishFrontWay(Shard& shard, std::size_t way);
   void AutomoveTick(Shard& shard);
   void CrawlerTick(Shard& shard);
-  // Called AFTER a mutation of `hash`'s key has committed to the table:
-  // bumps the way's invalidation generation (so an in-flight promotion
-  // that read the pre-mutation value can never publish it) and clears the
-  // way if this key is the one promoted. Cheap when the front cache is
-  // cold: one fence + two relaxed loads.
-  void InvalidateFront(Shard& shard, std::size_t hash);
-  void InvalidateAllFront(Shard& shard);
-  // Detector bump on the singleton GET path: lossy per-stripe op counters;
-  // every 64th op per stripe feeds the candidate table (try-lock only).
-  void NoteOp(Shard& shard, std::size_t hash, std::string_view key);
   // Executes one store op inside StoreMany's group section (which holds
   // shard.store_mutex on a capped cache), value build included. Returns
   // the wire result; *inserted reports whether table membership changed

@@ -68,19 +68,6 @@ std::string_view NextValue(const WorkloadConfig& config, Xoshiro256& rng,
   return {buffer.data(), config.value_size + rng.NextBounded(span)};
 }
 
-// One key draw: the zipf distribution, with the adversarial hot-key
-// overlay on top — with probability hot_key_share the op is redirected to
-// one of the first hot_key_count keys (uniformly). Every key-drawing path
-// (single get/set, multi-get, batched stores, all three client loops)
-// funnels through here so the overlay shapes them identically.
-std::size_t NextKeyIndex(const WorkloadConfig& config, Xoshiro256& rng,
-                         ZipfGenerator& zipf) {
-  if (config.hot_key_count != 0 && rng.NextDouble() < config.hot_key_share) {
-    return rng.NextBounded(std::min(config.hot_key_count, config.num_keys));
-  }
-  return zipf.Next(rng);
-}
-
 // Formats one random round trip in wire form into *wire (replacing its
 // contents). Returns whether it is a GET. Shared by the in-process and
 // socket client loops so both benchmark modes drive the same workload.
@@ -102,7 +89,7 @@ bool NextRequestWire(const WorkloadConfig& config, Xoshiro256& rng,
       const std::size_t keys = std::max<std::size_t>(config.keys_per_get, 1);
       for (std::size_t k = 0; k < keys; ++k) {
         *wire += "mg ";
-        *wire += WorkloadKey(NextKeyIndex(config, rng, zipf));
+        *wire += WorkloadKey(zipf.Next(rng));
         *wire += " v q\r\n";
       }
     } else {
@@ -111,7 +98,7 @@ bool NextRequestWire(const WorkloadConfig& config, Xoshiro256& rng,
       for (std::size_t s = 0; s < sets; ++s) {
         const std::string_view value = NextValue(config, rng, value_buffer);
         *wire += "ms ";
-        *wire += WorkloadKey(NextKeyIndex(config, rng, zipf));
+        *wire += WorkloadKey(zipf.Next(rng));
         *wire += ' ';
         *wire += std::to_string(value.size());
         *wire += " q\r\n";
@@ -127,7 +114,7 @@ bool NextRequestWire(const WorkloadConfig& config, Xoshiro256& rng,
     const std::size_t keys = std::max<std::size_t>(config.keys_per_get, 1);
     for (std::size_t k = 0; k < keys; ++k) {
       *wire += ' ';
-      *wire += WorkloadKey(NextKeyIndex(config, rng, zipf));
+      *wire += WorkloadKey(zipf.Next(rng));
     }
     *wire += "\r\n";
   } else {
@@ -135,7 +122,7 @@ bool NextRequestWire(const WorkloadConfig& config, Xoshiro256& rng,
     for (std::size_t s = 0; s < sets; ++s) {
       const std::string_view value = NextValue(config, rng, value_buffer);
       *wire += "set ";
-      *wire += WorkloadKey(NextKeyIndex(config, rng, zipf));
+      *wire += WorkloadKey(zipf.Next(rng));
       *wire += " 0 0 ";
       *wire += std::to_string(value.size());
       if (s + 1 < sets) {
@@ -260,7 +247,7 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
     const bool is_get = rng.NextDouble() < config.get_ratio;
     if (is_get && keys_per_get > 1) {
       for (std::size_t k = 0; k < keys_per_get; ++k) {
-        batch_keys[k] = WorkloadKey(NextKeyIndex(config, rng, zipf));
+        batch_keys[k] = WorkloadKey(zipf.Next(rng));
         batch_views[k] = batch_keys[k];
       }
       batch_scratch.clear();
@@ -275,7 +262,7 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
         }
       }
     } else if (is_get) {
-      const std::string key = WorkloadKey(NextKeyIndex(config, rng, zipf));
+      const std::string key = WorkloadKey(zipf.Next(rng));
       ++totals.gets;
       if (engine.Get(key, &out)) {
         ++totals.hits;
@@ -284,7 +271,7 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
       }
     } else if (sets_per_request > 1) {
       for (std::size_t s = 0; s < sets_per_request; ++s) {
-        store_keys[s] = WorkloadKey(NextKeyIndex(config, rng, zipf));
+        store_keys[s] = WorkloadKey(zipf.Next(rng));
         StoreOp& op = store_ops[s];
         op.kind = StoreKind::kSet;
         op.key = store_keys[s];
@@ -294,7 +281,7 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
                        store_results.data());
       totals.sets += sets_per_request;
     } else {
-      engine.Set(WorkloadKey(NextKeyIndex(config, rng, zipf)),
+      engine.Set(WorkloadKey(zipf.Next(rng)),
                  NextValue(config, rng, value_buffer), 0, 0);
       ++totals.sets;
     }

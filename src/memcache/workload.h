@@ -55,15 +55,6 @@ struct WorkloadConfig {
   bool use_meta = false;
   // Zipf skew over keys (0 = uniform).
   double zipf_theta = 0.0;
-  // Adversarial hot-key concentration on TOP of the zipf draw: with
-  // probability hot_key_share an op targets one of the first hot_key_count
-  // keys (uniformly), instead of its zipf draw. hot_key_count = 0 disables
-  // the overlay. This models the flash-crowd shape real caches fear — a
-  // handful of celebrity keys absorbing a fixed slice of ALL traffic no
-  // matter how large the keyspace — and is the trigger workload for the
-  // maintenance plane's hot-key front cache and SET combining.
-  std::size_t hot_key_count = 0;
-  double hot_key_share = 0.0;
   double duration_seconds = 1.0;
   // Route every operation through the protocol codec.
   bool use_protocol = true;

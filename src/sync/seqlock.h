@@ -11,9 +11,7 @@
 #define RP_SYNC_SEQLOCK_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "src/util/compiler.h"
 
@@ -100,99 +98,6 @@ class SeqlockReader {
   std::uint64_t seq_ = 0;
   std::uint64_t retries_ = 0;
   bool armed_ = false;
-};
-
-// Seqlock-protected flat byte region, copied word-at-a-time through
-// relaxed atomics. The classic seqlock pattern reads the payload with
-// plain loads and relies on the fences for correctness — which is fine on
-// real hardware but is a data race under the C++ memory model, and TSan
-// flags it. Since the intended payloads here are small snapshots (a cache
-// front-cache entry), paying a relaxed atomic per 8 bytes keeps the
-// pattern exactly as fast on x86 while making it a defined program.
-//
-// Writers must be externally serialized, same as Seqlock. TryRead makes a
-// single attempt: callers with a slow path (e.g. fall back to the real
-// table walk) should not spin here.
-template <std::size_t Capacity>
-class SeqlockBytes {
-  static_assert(Capacity % 8 == 0, "capacity must be a multiple of 8");
-
- public:
-  static constexpr std::size_t kCapacity = Capacity;
-
-  SeqlockBytes() = default;
-  SeqlockBytes(const SeqlockBytes&) = delete;
-  SeqlockBytes& operator=(const SeqlockBytes&) = delete;
-
-  // Publishes `len` bytes from `src` (len <= Capacity; externally
-  // serialized with other writers).
-  void Write(const void* src, std::size_t len) {
-    lock_.WriteBegin();
-    const std::size_t words = (len + 7) / 8;
-    const char* from = static_cast<const char*>(src);
-    for (std::size_t i = 0; i < words; ++i) {
-      std::uint64_t word = 0;
-      const std::size_t n = len - i * 8 < 8 ? len - i * 8 : 8;
-      std::memcpy(&word, from + i * 8, n);
-      words_[i].store(word, std::memory_order_relaxed);
-    }
-    lock_.WriteEnd();
-  }
-
-  // One read attempt: copies a consistent snapshot of the full capacity
-  // into `dst` (sized >= Capacity) and returns true, or returns false if a
-  // writer raced. Never spins past more than one in-progress write.
-  [[nodiscard]] bool TryRead(void* dst) const {
-    const std::uint64_t seq = lock_.Sequence();
-    if ((seq & 1) != 0) {
-      return false;  // write in progress
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    CopyOut(dst, 0, Capacity / 8);
-    return lock_.ReadValidate(seq);
-  }
-
-  // One read attempt of a variable-length prefix, for payloads that carry
-  // their own length: copies `header_len` bytes into `dst`, asks
-  // `total_len(dst)` how long the full record is (reading the header just
-  // copied), copies the remainder of that prefix, and validates the whole
-  // read against one sequence. A torn header can yield a garbage length —
-  // it is clamped to Capacity and the validation rejects the read — so
-  // `total_len` must tolerate arbitrary header bytes but the caller never
-  // sees them. Copies ceil-to-word, so `dst` must have Capacity bytes of
-  // room even for short records.
-  template <typename Fn>
-  [[nodiscard]] bool TryReadPrefix(void* dst, std::size_t header_len,
-                                   Fn&& total_len) const {
-    const std::uint64_t seq = lock_.Sequence();
-    if ((seq & 1) != 0) {
-      return false;  // write in progress
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::size_t header_words = (header_len + 7) / 8;
-    CopyOut(dst, 0, header_words);
-    std::size_t total = total_len(static_cast<const void*>(dst));
-    if (total > Capacity) {
-      total = Capacity;
-    }
-    const std::size_t total_words = (total + 7) / 8;
-    if (total_words > header_words) {
-      CopyOut(dst, header_words, total_words);
-    }
-    return lock_.ReadValidate(seq);
-  }
-
- private:
-  void CopyOut(void* dst, std::size_t from_word, std::size_t to_word) const {
-    char* to = static_cast<char*>(dst);
-    for (std::size_t i = from_word; i < to_word; ++i) {
-      const std::uint64_t word = words_[i].load(std::memory_order_relaxed);
-      std::memcpy(to + i * 8, &word, 8);
-    }
-  }
-
-  Seqlock lock_;
-  std::atomic<std::uint64_t> words_[Capacity / 8] = {};
 };
 
 }  // namespace rp::sync

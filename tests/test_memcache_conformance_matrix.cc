@@ -422,6 +422,118 @@ TEST(ConformanceMatrix, SingletonAndPipelinedStoresAgreeOnEveryItemState) {
   }
 }
 
+// The RP engine's StoreMany combines a SET into the next SET of the same
+// key in its batch, with no switch to turn that off. So each burst below
+// repeats stores to one initially absent key and must leave exactly the
+// state its ops leave when run one at a time: on the RP engine (per-op
+// StoreMany calls never combine), and on the locked engine (which never
+// combines at all). Every op but the first SET depends on the key being
+// present, so folding the first SET into anything but a later SET changes
+// its answer. On the capped engine every new key evicts one filler, which
+// pins the evictions and the byte gauge to the per-op path too.
+void ExpectCombinedBurstsMatchPerOpExecution(const EngineConfig& config,
+                                             int fillers) {
+  struct BurstOp {
+    Op op;
+    std::size_t size;  // payload bytes; 0 for delete
+  };
+  // Sizes cross the 256-byte embed boundary and change between SETs, so
+  // a combined SET that left its own value behind would show in `bytes`.
+  const std::vector<std::vector<BurstOp>> kBursts = {
+      {{Op::kSet, 3}, {Op::kSet, 300}},
+      {{Op::kSet, 300}, {Op::kSet, 17}, {Op::kSet, 5}},
+      {{Op::kSet, 3}, {Op::kAppend, 2}, {Op::kSet, 7}},
+      {{Op::kSet, 3}, {Op::kCas, 4}, {Op::kSet, 7}},
+      {{Op::kSet, 3}, {Op::kDelete, 0}, {Op::kSet, 7}},
+      {{Op::kSet, 3}, {Op::kAdd, 4}, {Op::kSet, 300}},
+  };
+  // One request list for every engine: the cas token never matches (the
+  // key's cas is whatever its SET drew), so cas answers EXISTS only while
+  // the burst's first SET has landed, and NOT_FOUND otherwise.
+  std::vector<std::vector<Request>> bursts;
+  std::vector<std::string> keys;
+  for (std::size_t b = 0; b < kBursts.size(); ++b) {
+    keys.push_back("burst-" + std::to_string(b));
+    std::vector<Request> burst;
+    for (std::size_t i = 0; i < kBursts[b].size(); ++i) {
+      Request request;
+      request.op = kBursts[b][i].op;
+      request.keys = {keys.back()};
+      request.flags = static_cast<std::uint32_t>(i + 1);
+      request.data.assign(kBursts[b][i].size, static_cast<char>('a' + i));
+      request.cas = 999999;
+      burst.push_back(std::move(request));
+    }
+    bursts.push_back(std::move(burst));
+  }
+
+  RpEngine rp_piped(config);
+  RpEngine rp_single(config);
+  LockedEngine locked(config);
+  CacheEngine* engines[] = {&rp_piped, &rp_single, &locked};
+  for (int f = 0; f < fillers; ++f) {
+    keys.push_back("filler-" + std::to_string(f));
+    for (CacheEngine* engine : engines) {
+      ASSERT_EQ(engine->Set(keys.back(), "f", 0, 0), StoreResult::kStored);
+    }
+  }
+
+  std::string piped_out;
+  std::string single_out;
+  std::string locked_out;
+  for (const std::vector<Request>& burst : bursts) {
+    ExecuteStoreBatch(rp_piped, burst.data(), burst.size(), &piped_out);
+    ExecuteStoreBatch(locked, burst.data(), burst.size(), &locked_out);
+    for (const Request& request : burst) {
+      ExecuteStoreBatch(rp_single, &request, 1, &single_out);
+    }
+  }
+  EXPECT_EQ(piped_out, single_out);
+  EXPECT_EQ(piped_out, locked_out);
+  // The three SET-SET pairs (one in burst 0, two in burst 1) combined.
+  EXPECT_EQ(rp_piped.Stats().set_combines, 3u);
+  EXPECT_EQ(rp_single.Stats().set_combines, 0u);
+
+  const EngineStats piped = rp_piped.Stats();
+  for (CacheEngine* engine : {static_cast<CacheEngine*>(&rp_single),
+                              static_cast<CacheEngine*>(&locked)}) {
+    const EngineStats other = engine->Stats();
+    const std::string name = engine->Name();
+    EXPECT_EQ(piped.sets, other.sets) << name;
+    EXPECT_EQ(piped.total_items, other.total_items) << name;
+    EXPECT_EQ(piped.bytes, other.bytes) << name;
+    EXPECT_EQ(piped.evictions, other.evictions) << name;
+  }
+  if (fillers != 0) {
+    EXPECT_GT(piped.evictions, 0u);
+  }
+
+  for (const std::string& key : keys) {
+    Request follow_up;
+    follow_up.op = Op::kGet;
+    follow_up.keys = {key};
+    const std::string expected = Execute(locked, follow_up);
+    EXPECT_EQ(Execute(rp_piped, follow_up), expected) << key;
+    EXPECT_EQ(Execute(rp_single, follow_up), expected) << key;
+  }
+}
+
+TEST(ConformanceMatrix, CombinedSetBurstsMatchPerOpExecution) {
+  {
+    SCOPED_TRACE("uncapped, four shards");
+    EngineConfig config;
+    config.shards = 4;
+    ExpectCombinedBurstsMatchPerOpExecution(config, 0);
+  }
+  {
+    SCOPED_TRACE("capped at 8 items, one shard");
+    EngineConfig config;
+    config.shards = 1;
+    config.max_items = 8;
+    ExpectCombinedBurstsMatchPerOpExecution(config, 8);
+  }
+}
+
 // ---- Meta-command matrix ----------------------------------------------------
 //
 // The meta family (mg/ms/md/ma) runs the same item-state sweep: every op is

@@ -74,9 +74,6 @@ EngineConfig OneShard(std::size_t max_items) {
   EngineConfig config;
   config.shards = 1;
   config.max_items = max_items;
-  // The front cache's per-tick refresh also sets reference bits; keep it
-  // out of the tests that count single references.
-  config.hot_key_cache = false;
   return config;
 }
 

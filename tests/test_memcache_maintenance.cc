@@ -1,14 +1,6 @@
-// Maintenance-plane tests: hot-key front cache coherence (ARCHITECTURE.md
-// invariant #8 — "the front cache never serves a value the table would
-// not"), the promoted/unpromoted conformance matrix, SET op combining,
-// slab automove, the expired-item crawler, and a TSan-targeted torture of
-// GETs on a promoted key racing every kind of mutation plus background
-// resizes.
-//
-// Promotion is driven deterministically: hammer a key (the detector
-// samples every 64th op per stripe), then RunMaintenanceTick() the key's
-// shard — exactly what the shard's resize worker runs on its poll, minus
-// the waiting.
+// Maintenance-plane tests: SET op combining, slab automove, the
+// expired-item crawler, and a TSan-targeted torture of GETs on one hot key
+// racing every kind of mutation, background resizes and maintenance ticks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,254 +10,15 @@
 #include <thread>
 #include <vector>
 
-#include "src/memcache/connection.h"
 #include "src/memcache/engine.h"
 #include "src/memcache/item.h"
-#include "src/memcache/locked_engine.h"
-#include "src/memcache/protocol.h"
 #include "src/memcache/rp_engine.h"
 #include "src/memcache/slab.h"
-#include "src/memcache/workload.h"
 #include "src/rcu/epoch.h"
 
 namespace {
 
 using namespace rp::memcache;
-
-// Hammers `key` with GETs until the detector must have sampled it several
-// times (the per-stripe counter samples every 64th op), then runs the
-// shard's maintenance tick synchronously.
-void PromoteKey(RpEngine& rp, const std::string& key) {
-  StoredValue out;
-  for (int i = 0; i < 512; ++i) {
-    rp.Get(key, &out);
-  }
-  rp.RunMaintenanceTick(rp.ShardIndex(key));
-}
-
-std::string Execute(CacheEngine& engine, const Request& request) {
-  std::string response;
-  bool quit = false;
-  ExecuteRequest(engine, request, &response, &quit);
-  return response;
-}
-
-std::string WireGet(CacheEngine& engine, const std::string& key) {
-  Request request;
-  request.op = Op::kGet;
-  request.keys = {key};
-  return Execute(engine, request);
-}
-
-// -- Front-cache basics ---------------------------------------------------
-
-TEST(FrontCache, HotKeyGetsPromotedAndServedFromSnapshot) {
-  RpEngine rp{EngineConfig{}};
-  ASSERT_EQ(rp.Set("celebrity", "payload", 7, 0), StoreResult::kStored);
-  PromoteKey(rp, "celebrity");
-  EXPECT_GE(rp.Stats().hot_key_promotions, 1u);
-
-  const std::uint64_t hits_before = rp.Stats().front_cache_hits;
-  StoredValue out;
-  ASSERT_TRUE(rp.Get("celebrity", &out));
-  EXPECT_EQ(out.data, "payload");
-  EXPECT_EQ(out.flags, 7u);
-  EXPECT_GT(rp.Stats().front_cache_hits, hits_before);
-}
-
-TEST(FrontCache, DisabledConfigNeverPromotes) {
-  EngineConfig config;
-  config.hot_key_cache = false;
-  RpEngine rp(config);
-  ASSERT_EQ(rp.Set("celebrity", "payload", 0, 0), StoreResult::kStored);
-  PromoteKey(rp, "celebrity");
-  StoredValue out;
-  ASSERT_TRUE(rp.Get("celebrity", &out));
-  const EngineStats stats = rp.Stats();
-  EXPECT_EQ(stats.hot_key_promotions, 0u);
-  EXPECT_EQ(stats.front_cache_hits, 0u);
-}
-
-TEST(FrontCache, LargeValuesAreNeverPromoted) {
-  RpEngine rp{EngineConfig{}};
-  // 300 bytes exceeds the snapshot's inline value region (kEmbedMaxData).
-  const std::string big(300, 'x');
-  ASSERT_EQ(rp.Set("celebrity", big, 0, 0), StoreResult::kStored);
-  PromoteKey(rp, "celebrity");
-  StoredValue out;
-  ASSERT_TRUE(rp.Get("celebrity", &out));
-  EXPECT_EQ(out.data, big);
-  EXPECT_EQ(rp.Stats().front_cache_hits, 0u);
-}
-
-// Invariant #8's enforcing test: after ANY mutation of a promoted key, the
-// very next GET observes the mutation — the front cache can never serve
-// what the table would not.
-TEST(FrontCache, EveryMutationInvalidatesThePromotedSnapshot) {
-  RpEngine rp{EngineConfig{}};
-  StoredValue out;
-
-  // Overwrite.
-  ASSERT_EQ(rp.Set("k", "v1", 0, 0), StoreResult::kStored);
-  PromoteKey(rp, "k");
-  ASSERT_TRUE(rp.Get("k", &out));
-  ASSERT_EQ(out.data, "v1");
-  ASSERT_EQ(rp.Set("k", "v2", 0, 0), StoreResult::kStored);
-  ASSERT_TRUE(rp.Get("k", &out));
-  EXPECT_EQ(out.data, "v2");
-
-  // Append / prepend through the promoted state.
-  PromoteKey(rp, "k");
-  ASSERT_EQ(rp.Append("k", "+tail"), StoreResult::kStored);
-  ASSERT_TRUE(rp.Get("k", &out));
-  EXPECT_EQ(out.data, "v2+tail");
-
-  // CAS through the promoted state (the snapshot's cas token must be the
-  // live one, and the store must be visible immediately).
-  PromoteKey(rp, "k");
-  ASSERT_TRUE(rp.Get("k", &out));
-  ASSERT_EQ(rp.CheckAndSet("k", "v3", 0, 0, out.cas), StoreResult::kStored);
-  ASSERT_TRUE(rp.Get("k", &out));
-  EXPECT_EQ(out.data, "v3");
-
-  // Delete.
-  PromoteKey(rp, "k");
-  ASSERT_TRUE(rp.Delete("k"));
-  EXPECT_FALSE(rp.Get("k", &out));
-
-  // Incr through the promoted state.
-  ASSERT_EQ(rp.Set("k", "41", 0, 0), StoreResult::kStored);
-  PromoteKey(rp, "k");
-  EXPECT_EQ(rp.Incr("k", 1).value, 42u);
-  ASSERT_TRUE(rp.Get("k", &out));
-  EXPECT_EQ(out.data, "42");
-
-  // Immediate flush_all.
-  PromoteKey(rp, "k");
-  rp.FlushAll(0);
-  EXPECT_FALSE(rp.Get("k", &out));
-}
-
-TEST(FrontCache, PromotedSnapshotHonorsExpiryWithoutInvalidation) {
-  // Time-based death needs NO mutation: the snapshot carries expire_at and
-  // the GET fast path applies the same IsExpired rule as a table walk.
-  RpEngine rp{EngineConfig{}};
-  ASSERT_EQ(rp.Set("k", "v", 0, 1), StoreResult::kStored);
-  PromoteKey(rp, "k");
-  StoredValue out;
-  ASSERT_TRUE(rp.Get("k", &out));
-  const std::int64_t deadline = NowSeconds() + 2;
-  while (NowSeconds() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_FALSE(rp.Get("k", &out));
-}
-
-TEST(FrontCache, PromotedSnapshotHonorsDelayedFlushDeadline) {
-  RpEngine rp{EngineConfig{}};
-  ASSERT_EQ(rp.Set("k", "v", 0, 0), StoreResult::kStored);
-  PromoteKey(rp, "k");
-  const std::int64_t armed_at = NowSeconds();
-  rp.FlushAll(1);
-  const std::int64_t deadline = armed_at + 2;
-  while (NowSeconds() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  StoredValue out;
-  EXPECT_FALSE(rp.Get("k", &out));
-}
-
-// -- Promoted/unpromoted conformance matrix -------------------------------
-
-// Every protocol op against a promoted key must produce byte-identical
-// wire transcripts to the same op on an unpromoted key (a second RP
-// instance fed the identical op sequence, minus GET hammering — GETs
-// allocate no cas, so the engines stay in lockstep), and the same
-// normalized transcript as the locked engine. The follow-up GET pins the
-// state each op left behind.
-TEST(FrontCacheConformance, PromotedMatchesUnpromotedAndLockedOnEveryOp) {
-  struct OpSpec {
-    const char* name;
-    Op op;
-  };
-  const OpSpec kOps[] = {
-      {"get", Op::kGet},         {"gets", Op::kGets},
-      {"set", Op::kSet},         {"add", Op::kAdd},
-      {"replace", Op::kReplace}, {"append", Op::kAppend},
-      {"prepend", Op::kPrepend}, {"cas", Op::kCas},
-      {"delete", Op::kDelete},   {"incr", Op::kIncr},
-      {"decr", Op::kDecr},       {"touch", Op::kTouch},
-  };
-
-  EngineConfig config;
-  config.shards = 4;
-  RpEngine promoted(config);
-  RpEngine unpromoted(config);
-  LockedEngine locked{EngineConfig{}};
-  CacheEngine* engines[] = {&promoted, &unpromoted, &locked};
-
-  for (const OpSpec& spec : kOps) {
-    const std::string key = std::string("hot-") + spec.name;
-    for (CacheEngine* engine : engines) {
-      ASSERT_EQ(engine->Set(key, "100", 3, 0), StoreResult::kStored);
-    }
-    PromoteKey(promoted, key);
-
-    Request request;
-    request.op = spec.op;
-    request.keys = {key};
-    switch (spec.op) {
-      case Op::kSet:
-      case Op::kAdd:
-      case Op::kReplace:
-        request.data = "200";
-        break;
-      case Op::kAppend:
-      case Op::kPrepend:
-        request.data = "9";
-        break;
-      case Op::kCas: {
-        // The snapshot's cas token must be the live one: fetch it FROM the
-        // promoted engine's front cache and use it for the store.
-        StoredValue out;
-        ASSERT_TRUE(promoted.Get(key, &out));
-        request.data = "300";
-        request.cas = out.cas;
-        break;
-      }
-      case Op::kIncr:
-        request.delta = 5;
-        break;
-      case Op::kDecr:
-        request.delta = 7;
-        break;
-      case Op::kTouch:
-        request.exptime = 500;
-        break;
-      default:
-        break;
-    }
-
-    const std::string promoted_out = Execute(promoted, request);
-    // The unpromoted twin needs its own cas token (same value by
-    // construction — identical op sequences step identical counters —
-    // but fetched independently so the test can't mask a divergence).
-    if (spec.op == Op::kCas) {
-      StoredValue out;
-      ASSERT_TRUE(unpromoted.Get(key, &out));
-      request.cas = out.cas;
-    }
-    const std::string unpromoted_out = Execute(unpromoted, request);
-    EXPECT_EQ(promoted_out, unpromoted_out) << spec.name << " on " << key;
-
-    // Post-op state agrees too (and the promoted engine's answer comes
-    // from the table or a re-validated snapshot, never a stale one).
-    EXPECT_EQ(WireGet(promoted, key), WireGet(unpromoted, key))
-        << "post-" << spec.name << " state";
-  }
-  EXPECT_GE(promoted.Stats().hot_key_promotions, 1u);
-  EXPECT_EQ(unpromoted.Stats().hot_key_promotions, 0u);
-}
 
 // -- SET op combining -----------------------------------------------------
 
@@ -319,22 +72,6 @@ TEST(OpCombining, InterveningOpDisqualifiesTheEarlierSet) {
   ASSERT_TRUE(rp.Get("k", &out));
   EXPECT_EQ(out.data, "CC");
   EXPECT_EQ(rp.Stats().set_combines, 0u);
-}
-
-TEST(OpCombining, DisabledWithTheFrontCache) {
-  EngineConfig config;
-  config.hot_key_cache = false;
-  RpEngine rp(config);
-  StoreOp ops[4];
-  for (StoreOp& op : ops) {
-    op.kind = StoreKind::kSet;
-    op.key = "k";
-    op.data = "v";
-  }
-  StoreResult results[4];
-  rp.StoreMany(ops, 4, results);
-  EXPECT_EQ(rp.Stats().set_combines, 0u);
-  EXPECT_EQ(rp.Stats().sets, 4u);
 }
 
 // -- Slab automove (engine level; allocator-level tests live in
@@ -413,13 +150,13 @@ TEST(Crawler, ReclaimsExpiredItemsWithoutAnyRequestTouchingThem) {
   EXPECT_GE(stats.expired_reclaims, 50u);  // crawls count as reclaims too
 }
 
-// -- Torture: GETs on a promoted key racing every mutation ----------------
+// -- Torture: GETs on a hot key racing every mutation --------------------
 
 // TSan target (runs in the normal suite too): readers hammer one hot key
 // while a writer rewrites it, a chaos thread deletes/flushes it, churn
-// forces background resizes, and a ticker re-promotes it continuously.
-// Readers assert every observed value is one a SET actually published —
-// uniform 16-byte runs of 'a'..'h' — so a torn or stale front-cache read
+// forces background resizes, and a ticker runs the key's maintenance tick
+// continuously. Readers assert every observed value is one a SET actually
+// published — uniform 16-byte runs of 'a'..'h' — so a torn or stale read
 // cannot hide.
 TEST(MaintenanceTorture, HotKeyGetsRaceSetsDeletesFlushesAndResizes) {
   EngineConfig config;
@@ -475,7 +212,7 @@ TEST(MaintenanceTorture, HotKeyGetsRaceSetsDeletesFlushesAndResizes) {
       ++i;
     }
   });
-  threads.emplace_back([&] {  // ticker: promote/refresh continuously
+  threads.emplace_back([&] {  // ticker: run the maintenance tick
     while (!stop.load(std::memory_order_relaxed)) {
       rp.RunMaintenanceTick(rp.ShardIndex(hot));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -486,67 +223,6 @@ TEST(MaintenanceTorture, HotKeyGetsRaceSetsDeletesFlushesAndResizes) {
     t.join();
   }
   EXPECT_GT(reads.load(), 0u);
-}
-
-// -- Adversarial hot-key workload profile ---------------------------------
-
-// The flash-crowd overlay (WorkloadConfig::hot_key_count/hot_key_share) is
-// the trigger traffic the maintenance plane exists for: run it through the
-// real workload driver (protocol codec, pipelined SET bursts, background
-// ticks — no manual PromoteKey) and the engine must respond with
-// promotions, front-cache hits, and SET combining on its own.
-TEST(HotKeyWorkload, AdversarialProfileDrivesTheMaintenancePlane) {
-  EngineConfig config;
-  config.shards = 1;  // every op lands on the one shard's detector
-  RpEngine rp(config);
-
-  WorkloadConfig workload;
-  workload.num_clients = 1;
-  workload.num_keys = 1024;
-  workload.value_size = 32;
-  workload.get_ratio = 0.9;
-  workload.sets_per_request = 4;  // pipelined bursts give combining a shot
-  workload.hot_key_count = 2;
-  workload.hot_key_share = 0.9;
-  workload.duration_seconds = 0.3;
-
-  const WorkloadResult result = RunWorkload(rp, workload);
-  ASSERT_GT(result.total_requests, 0u);
-
-  const EngineStats stats = rp.Stats();
-  EXPECT_GE(stats.hot_key_promotions, 1u);
-  EXPECT_GT(stats.front_cache_hits, 0u);
-  // 90% of the burst's 4 SETs hit 2 keys, so most bursts carry a same-key
-  // pair the combiner folds.
-  EXPECT_GT(stats.set_combines, 0u);
-}
-
-// The same profile with the front cache off must still be correct traffic —
-// and must leave every maintenance counter at zero.
-TEST(HotKeyWorkload, ProfileWithFrontCacheDisabledLeavesCountersAtZero) {
-  EngineConfig config;
-  config.shards = 1;
-  config.hot_key_cache = false;
-  RpEngine rp(config);
-
-  WorkloadConfig workload;
-  workload.num_clients = 1;
-  workload.num_keys = 1024;
-  workload.get_ratio = 0.9;
-  workload.sets_per_request = 4;
-  workload.hot_key_count = 2;
-  workload.hot_key_share = 0.9;
-  workload.duration_seconds = 0.1;
-
-  const WorkloadResult result = RunWorkload(rp, workload);
-  ASSERT_GT(result.total_requests, 0u);
-  // Prepopulation + the GET share over a hot profile means real hits.
-  EXPECT_GT(result.hits, 0u);
-
-  const EngineStats stats = rp.Stats();
-  EXPECT_EQ(stats.hot_key_promotions, 0u);
-  EXPECT_EQ(stats.front_cache_hits, 0u);
-  EXPECT_EQ(stats.set_combines, 0u);
 }
 
 }  // namespace

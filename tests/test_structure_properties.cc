@@ -1,186 +1,22 @@
-// Property-based parameterized sweeps over the relativistic structure
-// family (radix tree, trie, AVL tree) and over the hash map's RCU-domain
-// axis (Epoch vs QSBR), complementing tests/test_properties.cc which sweeps
-// the hash map's sizing parameters.
+// Typed sweep over the hash map's RCU-domain axis (Epoch vs QSBR),
+// complementing tests/test_properties.cc which sweeps the hash map's
+// sizing parameters.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <functional>
 #include <thread>
-#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/rp_hash_map.h"
 #include "src/rcu/epoch.h"
 #include "src/rcu/qsbr.h"
-#include "src/rp/avl_tree.h"
-#include "src/rp/radix_tree.h"
-#include "src/rp/trie.h"
 #include "src/util/rng.h"
 
 namespace rp {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Property: for any (element count, key spread), the radix tree holds
-// exactly the inserted set, its height is the minimum needed for the
-// largest key, and erasing everything collapses it back to empty.
-// ---------------------------------------------------------------------------
-class RadixShapeProperty
-    : public ::testing::TestWithParam<std::tuple<std::size_t, unsigned>> {};
-
-TEST_P(RadixShapeProperty, ContentsAndHeightExact) {
-  const auto [count, key_bits] = GetParam();
-  rp::RadixTree<std::uint64_t> tree;
-  SplitMix64 rng(count * 131 + key_bits);
-  const std::uint64_t mask =
-      key_bits >= 64 ? ~0ULL : ((1ULL << key_bits) - 1);
-  // A k-bit key space only holds 2^k distinct keys; clamp the target so
-  // narrow spaces don't make unique-key collection spin forever.
-  const std::size_t target =
-      key_bits >= 20 ? count
-                     : std::min<std::size_t>(count, (mask + 1) / 2);
-  std::map<std::uint64_t, std::uint64_t> model;
-  while (model.size() < target) {
-    const std::uint64_t key = rng.Next() & mask;
-    if (model.emplace(key, key + 3).second) {
-      ASSERT_TRUE(tree.Insert(key, key + 3));
-    }
-  }
-  ASSERT_EQ(tree.Size(), model.size());
-
-  // Height must be the minimum covering the largest inserted key.
-  const std::uint64_t max_key = model.empty() ? 0 : model.rbegin()->first;
-  unsigned needed = 1;
-  while (needed * rp::kRadixBits < 64 && (max_key >> (needed * rp::kRadixBits)) != 0) {
-    ++needed;
-  }
-  EXPECT_EQ(tree.Height(), needed);
-
-  for (const auto& [key, value] : model) {
-    auto v = tree.Get(key);
-    ASSERT_TRUE(v.has_value()) << key;
-    EXPECT_EQ(*v, value);
-  }
-  // Absent probes in and beyond the key range.
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t probe = rng.Next();
-    EXPECT_EQ(tree.Contains(probe), model.count(probe) > 0);
-  }
-  // Drain; the tree must end structurally empty.
-  for (const auto& [key, value] : model) {
-    (void)value;
-    ASSERT_TRUE(tree.Erase(key));
-  }
-  EXPECT_TRUE(tree.Empty());
-  EXPECT_EQ(tree.Height(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, RadixShapeProperty,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{17},
-                                         std::size_t{256}, std::size_t{2000}),
-                       ::testing::Values(6u, 12u, 18u, 40u, 64u)));
-
-// ---------------------------------------------------------------------------
-// Property: for any (key length, alphabet size), the trie's ForEachPrefix
-// partitions the key set exactly: every key is visited under precisely the
-// prefixes it extends.
-// ---------------------------------------------------------------------------
-class TriePrefixProperty
-    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
-
-TEST_P(TriePrefixProperty, PrefixScanPartitionsKeySet) {
-  const auto [max_len, alphabet] = GetParam();
-  rp::Trie<int> trie;
-  SplitMix64 rng(max_len * 1009 + static_cast<std::uint64_t>(alphabet));
-  std::map<std::string, int> model;
-  for (int i = 0; i < 500; ++i) {
-    std::string key;
-    const std::size_t len = rng.Next() % (max_len + 1);
-    for (std::size_t j = 0; j < len; ++j) {
-      key.push_back(static_cast<char>('a' + rng.Next() % alphabet));
-    }
-    if (model.emplace(key, i).second) {
-      ASSERT_TRUE(trie.Insert(key, i));
-    }
-  }
-  ASSERT_EQ(trie.Size(), model.size());
-
-  // For a sample of prefixes, the scan yields exactly the model's matching
-  // range, in order.
-  for (int p = 0; p < 20; ++p) {
-    std::string prefix;
-    const std::size_t len = rng.Next() % (max_len + 1);
-    for (std::size_t j = 0; j < len; ++j) {
-      prefix.push_back(static_cast<char>('a' + rng.Next() % alphabet));
-    }
-    std::vector<std::string> got;
-    trie.ForEachPrefix(prefix, [&](const std::string& k, const int&) {
-      got.push_back(k);
-    });
-    std::vector<std::string> expected;
-    for (auto it = model.lower_bound(prefix); it != model.end(); ++it) {
-      if (it->first.compare(0, prefix.size(), prefix) != 0) {
-        break;
-      }
-      expected.push_back(it->first);
-    }
-    EXPECT_EQ(got, expected) << "prefix=\"" << prefix << '"';
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, TriePrefixProperty,
-                         ::testing::Combine(::testing::Values(std::size_t{2},
-                                                              std::size_t{5},
-                                                              std::size_t{12}),
-                                            ::testing::Values(2, 4, 26)));
-
-// ---------------------------------------------------------------------------
-// Property: for any operation mix, the AVL tree preserves the balance
-// invariant and stays in exact content agreement with std::map.
-// ---------------------------------------------------------------------------
-class AvlChurnProperty
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
-
-TEST_P(AvlChurnProperty, BalancedAndExactUnderMix) {
-  const auto [key_space, erase_percent] = GetParam();
-  rp::AvlTree<std::uint64_t, std::uint64_t> tree;
-  std::map<std::uint64_t, std::uint64_t> model;
-  SplitMix64 rng(key_space * 7 + static_cast<std::uint64_t>(erase_percent));
-  for (int op = 0; op < 8000; ++op) {
-    const std::uint64_t key = rng.Next() % key_space;
-    if (static_cast<int>(rng.Next() % 100) < erase_percent) {
-      EXPECT_EQ(tree.Erase(key), model.erase(key) == 1);
-    } else {
-      const auto v = static_cast<std::uint64_t>(op);
-      tree.InsertOrAssign(key, v);
-      model.insert_or_assign(key, v);
-    }
-    if (op % 1000 == 999) {
-      ASSERT_TRUE(tree.IsBalanced()) << "after op " << op;
-    }
-  }
-  ASSERT_EQ(tree.Size(), model.size());
-  ASSERT_TRUE(tree.IsBalanced());
-  auto it = model.begin();
-  tree.ForEach([&](const std::uint64_t& k, const std::uint64_t& v) {
-    ASSERT_NE(it, model.end());
-    EXPECT_EQ(k, it->first);
-    EXPECT_EQ(v, it->second);
-    ++it;
-  });
-  EXPECT_EQ(it, model.end());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, AvlChurnProperty,
-    ::testing::Combine(::testing::Values(std::uint64_t{16}, std::uint64_t{256},
-                                         std::uint64_t{65536}),
-                       ::testing::Values(10, 50, 90)));
 
 // ---------------------------------------------------------------------------
 // Property: the hash map behaves identically on the Epoch and QSBR domains
