@@ -15,8 +15,9 @@
 // Expected shape: the heap baseline pays one payload allocation per SET
 // on top of the table-node allocation; the slab engine pays the node only
 // (chunks recycle through the deferred reclaimer; page carving amortizes
-// to noise). The occasional reclaimer drain on the slab path is part of
-// the design and is measured, not excluded.
+// to noise). A store that finds its class dry while chunks wait out a
+// grace period takes the heap fallback; that is part of the design and is
+// measured, not excluded.
 //
 // Cases are single-threaded except the /threads:2 contention variants
 // (bench_smoke runs only the threads:1 cases; see scripts/bench_smoke.sh).
@@ -100,7 +101,7 @@ EngineConfig ConfigFor(bool slab) {
   config.initial_buckets = 4096;
   // A byte cap twice the steady-state working set: large enough that
   // byte-cap eviction stays quiet, small enough that the slab arena is
-  // finite and chunk recycling (including the drain slow path) is real.
+  // finite and chunk recycling (including the fallback slow path) is real.
   config.max_bytes = 16 * 1024 * 1024;
   if (!slab) {
     config.slab_chunk_max = 0;  // per-item heap fallback: the PR-4 shape

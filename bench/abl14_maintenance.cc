@@ -1,9 +1,7 @@
 // abl14: the maintenance plane and store-batch op combining.
 //
 // Each shard runs a maintenance tick on its resize-worker poll: slab
-// automove between size classes, an expired-item crawl, and inline
-// pumping of the deferred-reclamation queue so the dedicated reclaimer
-// idles under light load. Three cases:
+// automove between size classes and an expired-item crawl. Two cases:
 //
 //  1. Op combining: a 16-op StoreMany burst where most SETs land on a
 //     handful of keys, so repeated SETs of the same key coalesce into the
@@ -11,15 +9,13 @@
 //  2. Automove: a store loop against a one-page arena calcified under a
 //     dead size class. With the page pinned by live items every store is
 //     a heap fallback; once the old items die the tick's automover
-//     reassigns the page and `fallbacks/op` returns to ~0.
-//  3. Reclaimer scheduling: retirement churn with an armed inline pumper
-//     (maintenance ticks drain small batches, the reclaimer thread stays
-//     parked) against the unarmed queue — `wakeups/op` is the futex/
-//     thread-switch traffic the maintenance plane removes.
+//     reassigns the page (`pages_moved`) and `fallbacks/op` drops; what
+//     is left are stores that find the class's chunks still waiting out
+//     a grace period in the reclaimer queue.
 //
 // Single-core caveat (see docs/BENCHMARKS.md): on a 1-core box the
 // throughput deltas compress; the counters (combines/op, fallbacks/op,
-// wakeups/op) are the load-bearing evidence.
+// pages_moved) are the load-bearing evidence.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -29,7 +25,6 @@
 #include "src/memcache/engine.h"
 #include "src/memcache/rp_engine.h"
 #include "src/memcache/workload.h"
-#include "src/rcu/callback.h"
 #include "src/rcu/epoch.h"
 #include "src/util/rng.h"
 
@@ -132,9 +127,8 @@ void CalcifiedStoreLoop(benchmark::State& state, bool pinned) {
   }
   RpEngine& engine = *slot;
   // Distinct class from the mids, and big enough that the arena's rump
-  // page (left after the mid class's carve) cannot hold even one chunk —
-  // otherwise the engine recovers destructively through evict-for-class
-  // instead of the heap fallback.
+  // page (left after the mid class's carve) cannot hold even one chunk,
+  // so only an automoved page can serve it.
   static const std::string big(1024, 'b');
 
   const EngineStats before = engine.Stats();
@@ -144,8 +138,7 @@ void CalcifiedStoreLoop(benchmark::State& state, bool pinned) {
     engine.Set("big", big, 0, 0);
     ++ops;
     // The maintenance cadence, made deterministic: the tick automoves
-    // (when a free page exists) and pumps retired chunks back onto the
-    // class free lists.
+    // when a free page exists.
     if (++since_tick == 2) {
       engine.RunMaintenanceTick(0);
       since_tick = 0;
@@ -168,51 +161,9 @@ void BM_CalcifiedStoreRecovered(benchmark::State& state) {
   CalcifiedStoreLoop(state, /*pinned=*/false);
 }
 
-// -- 3. Reclaimer wakeups: armed inline pump vs dedicated thread ----------
-
-void ReclaimerLoop(benchmark::State& state, bool armed) {
-  // A private queue with a no-op grace period isolates the scheduling
-  // mechanics (futex wakes, batch swaps) from epoch costs.
-  rp::rcu::RcuCallbackQueue queue([] {});
-  if (armed) {
-    queue.ArmInlinePump();
-  }
-  std::uint64_t ops = 0;
-  int since_pump = 0;
-  static std::uint64_t sink = 0;
-  for (auto _ : state) {
-    queue.Enqueue([](void* arg) { ++*static_cast<std::uint64_t*>(arg); },
-                  &sink);
-    ++ops;
-    if (armed && ++since_pump == 64) {
-      queue.TryPump(128);  // the maintenance tick's share of the work
-      since_pump = 0;
-    }
-  }
-  queue.Barrier();
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-  state.counters["wakeups/op"] = benchmark::Counter(
-      static_cast<double>(queue.wakeups()) / static_cast<double>(ops));
-  state.counters["inline_pumps"] =
-      benchmark::Counter(static_cast<double>(queue.inline_pumps()));
-  if (armed) {
-    queue.DisarmInlinePump();
-  }
-}
-
-void BM_ReclaimerArmedPump(benchmark::State& state) {
-  ReclaimerLoop(state, true);
-}
-
-void BM_ReclaimerUnarmed(benchmark::State& state) {
-  ReclaimerLoop(state, false);
-}
-
 BENCHMARK(BM_SkewedSetCombining)->Threads(1)->UseRealTime();
 BENCHMARK(BM_CalcifiedStorePinned)->Threads(1)->UseRealTime();
 BENCHMARK(BM_CalcifiedStoreRecovered)->Threads(1)->UseRealTime();
-BENCHMARK(BM_ReclaimerArmedPump)->Threads(1)->UseRealTime();
-BENCHMARK(BM_ReclaimerUnarmed)->Threads(1)->UseRealTime();
 
 }  // namespace
 

@@ -13,7 +13,6 @@
 #include "src/baselines/ddds_hash_map.h"
 #include "src/baselines/mutex_hash_map.h"
 #include "src/baselines/rwlock_hash_map.h"
-#include "src/baselines/seqlock_hash_map.h"
 #include "src/core/rp_hash_map.h"
 #include "src/util/rng.h"
 
@@ -90,16 +89,6 @@ int main() {
     {
       rp::baselines::BucketLockHashMap<std::uint64_t, std::uint64_t> map(kBuckets);
       RunMix(table, "bucketlock", map, write_ratio, threads, seconds);
-    }
-    {
-      // Optimistic-read comparison point: every write invalidates every
-      // overlapping read, so this series decays with the write ratio where
-      // RP's stays flat.
-      rp::baselines::SeqlockHashMap<std::uint64_t, std::uint64_t> map(kBuckets);
-      RunMix(table, "seqlock", map, write_ratio, threads, seconds);
-      std::printf("  seqlock reader retries at %.0f%% writes: %llu\n",
-                  write_ratio * 100,
-                  static_cast<unsigned long long>(map.ReaderRetries()));
     }
 
     table.Print();

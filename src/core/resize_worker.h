@@ -14,11 +14,11 @@
 // the point of the paper's algorithm — and writers only ever pay a relaxed
 // load + occasional notify.
 //
-// The worker also doubles as the reclamation pump for maps using deferred
-// (call_rcu-style) reclamation: after each resize, and when stopping, it
+// For maps using deferred (call_rcu-style) reclamation the worker also
 // flushes the map's pending retirements (FlushDeferred, detected by
-// concept) so memory reclamation keeps pace with heavy update churn without
-// any writer ever waiting on a grace period.
+// concept) after each resize and when stopping, so reclamation keeps pace
+// with resize churn; the worker, never a writer, waits out the grace
+// period.
 #ifndef RP_CORE_RESIZE_WORKER_H_
 #define RP_CORE_RESIZE_WORKER_H_
 
@@ -49,15 +49,10 @@ struct ResizeWorkerOptions {
   std::size_t min_buckets = 16;
   // Periodic re-check interval when no writer nudges arrive.
   std::chrono::milliseconds poll_interval{50};
-  // After each resize, block the worker (never the writers) until the map's
-  // deferred retirements have been reclaimed. Bounds unreclaimed memory
-  // under churn at zero writer cost; ignored for maps without FlushDeferred.
-  bool flush_deferred_after_resize = true;
   // Invoked once per worker wakeup (nudge or poll tick), outside the
   // worker's own lock and after the resize check. The owner piggybacks its
-  // maintenance plane on this thread — slab automove, expired-item
-  // crawling, inline reclaimer pumping — instead of paying a second
-  // periodic thread per shard. Must be cheap and must not block on
+  // maintenance plane on this thread — slab automove and expired-item
+  // crawling — instead of paying a second periodic thread per shard. Must be cheap and must not block on
   // writer-held locks for long; it runs at poll_interval cadence.
   std::function<void()> maintenance_tick;
 };
@@ -163,9 +158,7 @@ class ResizeWorker {
       map_.Resize(target);
       resizes_.fetch_add(1, std::memory_order_relaxed);
       if constexpr (HasFlushDeferred<Map>) {
-        if (options_.flush_deferred_after_resize) {
-          map_.FlushDeferred();
-        }
+        map_.FlushDeferred();
       }
     }
   }

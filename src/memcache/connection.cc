@@ -157,7 +157,6 @@ void ExecuteRequest(CacheEngine& engine, const Request& request,
       AppendStat(out, "crawler_reclaims", stats.crawler_reclaims);
       AppendStat(out, "reclaimer_pending", stats.reclaimer_pending);
       AppendStat(out, "reclaimer_wakeups", stats.reclaimer_wakeups);
-      AppendStat(out, "reclaimer_inline_pumps", stats.reclaimer_inline_pumps);
       // Meta-protocol command counters (see docs/PROTOCOL.md): one bump
       // per meta request executed, counted at the dispatch layer.
       AppendStat(out, "cmd_mg", stats.cmd_mg);

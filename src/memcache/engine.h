@@ -191,11 +191,13 @@ struct EngineStats {
   // rather than by a GET tripping over them (also in expired_reclaims).
   std::uint64_t crawler_reclaims = 0;
   // Deferred-reclamation queue health (process-global RCU domain, so both
-  // engines report the same numbers): callbacks currently pending, batch
-  // wakeups of the dedicated reclaimer thread, and batches drained inline
-  // by maintenance ticks instead of the reclaimer.
+  // engines report the same numbers): callbacks currently pending and
+  // batch wakeups of the reclaimer thread.
   std::uint64_t reclaimer_pending = 0;
   std::uint64_t reclaimer_wakeups = 0;
+  // Always 0: no maintenance tick drains the queue inline; the reclaimer
+  // thread runs every batch. Kept only because perfbench reads it; it is
+  // not on the stats wire and goes at the next change to the benchmark.
   std::uint64_t reclaimer_inline_pumps = 0;
   // -- Meta protocol (PR 9). Commands executed per meta opcode; counted at
   // the dispatch layer (ExecuteRequest / the batched meta paths), stored
@@ -260,9 +262,9 @@ class CacheEngine {
   // filling results[0..count). Payloads are string_views over the parsed
   // request; engines copy them straight into a slab chunk, so no owning
   // std::string is ever allocated for the data block. The relativistic
-  // engine groups ops by shard and pays one store-mutex acquisition, one
-  // resize nudge and at most one reclaimer pump per shard group; the
-  // locked engine takes its global mutex once for the whole batch. A
+  // engine groups ops by shard and pays one store-mutex acquisition and
+  // one resize nudge per shard group, and never waits for a grace period;
+  // the locked engine takes its global mutex once for the whole batch. A
   // one-op call is an ordinary store: batch stats count only 2+ ops.
   virtual void StoreMany(const StoreOp* ops, std::size_t count,
                          StoreResult* results) = 0;

@@ -407,7 +407,6 @@ EngineStats LockedEngine::Stats() const {
   rcu::RcuCallbackQueue& reclaimer = rcu::Epoch::Callbacks();
   stats.reclaimer_pending = reclaimer.pending();
   stats.reclaimer_wakeups = reclaimer.wakeups();
-  stats.reclaimer_inline_pumps = reclaimer.inline_pumps();
   FillMetaCommandStats(&stats);
   return stats;
 }

@@ -1,5 +1,6 @@
 #include "src/memcache/protocol.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 
@@ -24,6 +25,30 @@ std::vector<std::string_view> Tokenize(std::string_view line) {
     }
   }
   return tokens;
+}
+
+// True when a command line of which `line` has arrived (all of it when
+// `complete`) exceeds its command's length limit. The limit depends only on
+// the first token, so a partial line is judged only once that token has
+// ended; until then only the larger retrieval limit applies.
+bool LineTooLong(std::string_view line, bool complete) {
+  std::size_t known = line.size();
+  if (!complete && !line.empty() && line.back() == '\r') {
+    --known;  // may be the first half of the terminator
+  }
+  if (known <= RequestParser::kMaxLineLength) {
+    return false;
+  }
+  std::size_t limit = RequestParser::kMaxRetrievalLineLength;
+  const std::size_t start = std::min(line.find_first_not_of(' '), line.size());
+  const std::size_t end = line.find(' ', start);
+  if (complete || end != std::string_view::npos) {
+    const std::string_view cmd = line.substr(start, end - start);
+    if (cmd != "get" && cmd != "gets" && cmd != "gat" && cmd != "gats") {
+      limit = RequestParser::kMaxLineLength;
+    }
+  }
+  return known > limit;
 }
 
 template <typename Int>
@@ -68,14 +93,32 @@ ParseStatus RequestParser::Fail(std::string message, bool resync) {
   state_ = State::kCommandLine;
   if (resync) {
     // Skip to the next line so a malformed stream doesn't wedge the parser.
-    const std::size_t eol = buffer_.find("\r\n", consumed_);
-    consumed_ = eol == std::string::npos ? buffer_.size() : eol + 2;
+    SkipLine();
   }
   Compact();
   return ParseStatus::kError;
 }
 
+bool RequestParser::SkipLine() {
+  const std::size_t eol = buffer_.find("\r\n", consumed_);
+  skipping_line_ = eol == std::string::npos;
+  if (skipping_line_) {
+    // Keep a trailing '\r': it may pair with the next byte fed.
+    consumed_ = buffer_.size();
+    if (consumed_ > 0 && buffer_.back() == '\r') {
+      --consumed_;
+    }
+    return false;
+  }
+  consumed_ = eol + 2;
+  return true;
+}
+
 ParseStatus RequestParser::Next(Request* out) {
+  if (skipping_line_ && !SkipLine()) {
+    Compact();
+    return ParseStatus::kNeedMore;
+  }
   if (state_ == State::kDataBlock) {
     // Need data_needed_ bytes plus the trailing \r\n.
     if (buffer_.size() - consumed_ < data_needed_ + 2) {
@@ -96,13 +139,15 @@ ParseStatus RequestParser::Next(Request* out) {
   }
 
   const std::size_t eol = buffer_.find("\r\n", consumed_);
-  if (eol == std::string::npos) {
-    if (buffer_.size() - consumed_ > kMaxKeyLength + 64) {
-      return Fail("command line too long", /*resync=*/true);
-    }
+  const bool complete = eol != std::string::npos;
+  const std::string_view line(buffer_.data() + consumed_,
+                              (complete ? eol : buffer_.size()) - consumed_);
+  if (LineTooLong(line, complete)) {
+    return Fail("command line too long", /*resync=*/true);
+  }
+  if (!complete) {
     return ParseStatus::kNeedMore;
   }
-  const std::string_view line(buffer_.data() + consumed_, eol - consumed_);
   consumed_ = eol + 2;
   const ParseStatus status = ParseCommandLine(line, out);
   if (status != ParseStatus::kError) {

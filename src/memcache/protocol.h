@@ -114,6 +114,19 @@ class RequestParser {
   static constexpr std::size_t kMaxKeyLength = 250;
   static constexpr std::size_t kMaxValueLength = 1024 * 1024;
   static constexpr std::size_t kMaxOpaqueLength = 32;  // meta O<token>
+  // Longest command line, \r\n excluded: memcached's 2048 bytes. The limit
+  // applies to the line, whether or not its \r\n has arrived yet, so a
+  // request parses the same however the stream is split.
+  static constexpr std::size_t kMaxLineLength = 2048;
+  // get/gets/gat/gats lines carry many keys, so memcached reads them past
+  // kMaxLineLength; this bound holds kMaxRetrievalKeys maximum-length keys
+  // plus the command and a gat exptime.
+  static constexpr std::size_t kMaxRetrievalKeys = 256;
+  static constexpr std::size_t kMaxRetrievalLineLength = 64 * 1024;
+  static_assert(kMaxRetrievalLineLength >=
+                    std::string_view("gats ").size() + 21 +
+                        kMaxRetrievalKeys * (kMaxKeyLength + 1),
+                "a retrieval line must fit kMaxRetrievalKeys keys");
 
  private:
   enum class State { kCommandLine, kDataBlock };
@@ -126,13 +139,18 @@ class RequestParser {
   // Records the error. With resync=true, additionally skips the buffer
   // forward to the next line boundary — needed when the failure happened
   // mid-stream (bad data chunk, overlong line); command-line failures have
-  // already consumed their line and must not eat the following one.
+  // already consumed their line and must not eat the following one. When
+  // the boundary has not arrived yet, the skip continues as bytes do.
   ParseStatus Fail(std::string message, bool resync);
+  // Discards input through the next \r\n. Returns false, and keeps
+  // skipping on later calls, when the buffer holds no \r\n yet.
+  bool SkipLine();
   void Compact();
 
   std::string buffer_;
   std::size_t consumed_ = 0;
   State state_ = State::kCommandLine;
+  bool skipping_line_ = false;  // Fail(resync) is waiting for a \r\n
   Request pending_;          // storage command awaiting its data block
   std::size_t data_needed_ = 0;
   std::string error_;

@@ -198,15 +198,6 @@ SlabPolicy NodeSlabPolicy() {
   return policy;
 }
 
-// Victim bounds for the class-exhaustion sweep. The sweep is
-// class-targeted (only items whose chunk belongs to the dry class are
-// evicted — freed chunks return to their own class, so evicting anything
-// else is pure collateral), and chunks freed here return only after a
-// grace period, so it cannot run "until a chunk is free": it unlinks a
-// couple of matching victims and lets the caller drain the reclaimer.
-constexpr std::size_t kClassEvictBatch = 2;
-constexpr std::size_t kClassEvictPops = 64;
-
 // A GET hit's writes to the item: the access stamps and the CLOCK
 // reference bit, each stored only when it changes (memcached rate-limits
 // the same bump with ITEM_UPDATE_INTERVAL), so a hot item's line is
@@ -235,8 +226,6 @@ void StampGet(const CacheValue& value, std::int64_t now,
 // purpose — the tick shares the resize worker's thread.
 constexpr std::size_t kCrawlBuckets = 8;
 constexpr std::size_t kCrawlReclaimMax = 32;
-// Upper bound on callbacks the tick's inline reclaimer pump will run.
-constexpr std::size_t kTickPumpMax = 128;
 
 }  // namespace
 
@@ -389,11 +378,11 @@ RpEngine::RpEngine(EngineConfig config) : config_(config) {
   max_bytes_per_shard_ = PerShard(config_.max_bytes, shard_count);
   track_eviction_ = config_.max_items != 0 || config_.max_bytes != 0;
   const SlabPolicy slab_policy = SlabPolicyFor(config_, shard_count);
-  // With at least one engine alive, the maintenance ticks pump small RCU
-  // callback batches inline, so the dedicated reclaimer thread only wakes
-  // for deep backlogs (kArmedWakeDepth) — reclamation stops costing a
-  // wakeup per grace period under light load.
-  rcu::Epoch::Callbacks().ArmInlinePump();
+  // Construct the RCU domain (thread registry and callback queue) before
+  // any shard. Statics die in reverse order of construction, so an engine
+  // with static storage duration is then destroyed, and its workers
+  // unregistered and its tables drained, while the domain still exists.
+  (void)rcu::Epoch::Callbacks();
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>(this, slab_policy, shard_buckets,
@@ -402,12 +391,7 @@ RpEngine::RpEngine(EngineConfig config) : config_(config) {
   shard_mask_ = shard_count - 1;
 }
 
-RpEngine::~RpEngine() {
-  // Disarm before the shards (and their ticking workers) go away: with no
-  // inline pumpers left, destruction churn drains through the reclaimer
-  // thread's normal wake-on-enqueue path.
-  rcu::Epoch::Callbacks().DisarmInlinePump();
-}
+RpEngine::~RpEngine() = default;
 
 std::uint64_t RpEngine::NextCas(Shard& shard) {
   return shard.next_cas.fetch_add(shard.cas_step, std::memory_order_relaxed);
@@ -586,14 +570,16 @@ bool RpEngine::ReclaimDead(Shard& shard, core::Prehashed hash,
   return erased;
 }
 
-bool RpEngine::OverLimit(const Shard& shard) const {
+bool RpEngine::OverLimit(const Shard& shard, std::size_t incoming) const {
   return (max_items_per_shard_ != 0 &&
           shard.table.Size() > max_items_per_shard_) ||
          (max_bytes_per_shard_ != 0 &&
-          shard.bytes.load(std::memory_order_relaxed) > max_bytes_per_shard_);
+          shard.bytes.load(std::memory_order_relaxed) + incoming >
+              max_bytes_per_shard_);
 }
 
-void RpEngine::EvictLocked(Shard& shard) {
+void RpEngine::EvictLocked(Shard& shard, std::size_t incoming,
+                           std::string_view keep) {
   if (!track_eviction_) {
     return;
   }
@@ -607,10 +593,19 @@ void RpEngine::EvictLocked(Shard& shard) {
   // bounds one call's requeues in case GETs re-set bits as fast as the
   // sweep clears them. The sweep never writes last_used or fetched.
   std::size_t chances = shard.fifo.size();
-  while (OverLimit(shard) && !shard.fifo.empty()) {
+  bool kept = false;
+  while (OverLimit(shard, incoming) && !shard.fifo.empty()) {
     std::string victim = std::move(shard.fifo.front());
     shard.fifo.pop_front();
     ++shard.sweep_pops;
+    if (!keep.empty() && victim == keep) {
+      shard.fifo.push_back(std::move(victim));
+      if (kept) {
+        break;  // a full pass; the post-publish sweep does the rest
+      }
+      kept = true;
+      continue;
+    }
     bool referenced = false;
     bool was_dead = false;
     const bool erased = shard.table.EraseIf(victim, [&](const CacheValue& value) {
@@ -635,54 +630,6 @@ void RpEngine::EvictLocked(Shard& shard) {
     if (referenced) {
       --chances;
       shard.fifo.push_back(std::move(victim));
-    }
-    // else: stale queue entry (deleted or already evicted) — drop it.
-  }
-}
-
-void RpEngine::EvictForClassLocked(Shard& shard,
-                                   std::size_t needed_footprint) {
-  if (!track_eviction_) {
-    return;
-  }
-  const std::int64_t now = NowSeconds();
-  const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  // Class-targeted, no second chance: only victims whose chunk footprint
-  // matches the dry class are evicted (their chunks are the only ones the
-  // reclaimer drain can hand back to it); wrong-class live items are
-  // spared and requeued. Dead items are reclaimed on sight regardless —
-  // pool pressure is a fine moment for hygiene.
-  std::size_t pops = std::min(shard.fifo.size(), kClassEvictPops);
-  std::size_t matches = kClassEvictBatch;
-  while (pops-- > 0 && matches > 0 && !shard.fifo.empty()) {
-    std::string victim = std::move(shard.fifo.front());
-    shard.fifo.pop_front();
-    ++shard.sweep_pops;
-    bool was_dead = false;
-    bool matched = false;
-    bool examined = false;
-    const bool erased =
-        shard.table.EraseIf(victim, [&](const CacheValue& value) {
-          examined = true;
-          was_dead = !IsLive(value, flush_at, now);
-          matched = value.data.footprint() == needed_footprint;
-          if (!was_dead && !matched) {
-            return false;  // wrong class: evicting it cannot help
-          }
-          shard.RefundValue(victim.size(), value);
-          return true;
-        });
-    if (erased) {
-      if (matched) {
-        --matches;
-      }
-      if (was_dead) {
-        shard.expired_reclaims.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        shard.evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (examined) {
-      shard.fifo.push_back(std::move(victim));  // spared, keep tracking it
     }
     // else: stale queue entry (deleted or already evicted) — drop it.
   }
@@ -1012,82 +959,6 @@ void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
     const std::size_t shard_index = ShardIndexForHash(hashes[i]);
     Shard& shard = *shards_[shard_index];
 
-    // Chunk pre-pass for the whole group, no locks held: find the size
-    // classes this group needs that are dry against the arena, deduped by
-    // footprint so a burst of same-sized stores decides its class once.
-    // Ops that cannot store (add on a present key, replace/cas on a
-    // missing one) must not evict live data for a store that never
-    // happens; that table probe runs only once the class is known to be
-    // dry, so a store into a class with free chunks pays no extra lookup.
-    // Embeddable set payloads live inside the node chunk and never consult
-    // the payload slab; append/prepend grow through SlabBuffer and deletes
-    // carry no data, so none of them pre-ensure. Combined ops never
-    // allocate at all.
-    constexpr std::size_t kMaxClasses = 8;
-    std::size_t decided[kMaxClasses];
-    std::size_t dry[kMaxClasses];
-    std::size_t n_decided = 0;
-    std::size_t n_dry = 0;
-    for (std::size_t j = i; j < count; ++j) {
-      if (done[j] != 0 || combined[j] != 0 ||
-          ShardIndexForHash(hashes[j]) != shard_index) {
-        continue;
-      }
-      const StoreOp& op = ops[j];
-      const std::size_t size = op.data.size();
-      const bool slab_store =
-          op.kind == StoreKind::kAdd || op.kind == StoreKind::kReplace ||
-          op.kind == StoreKind::kCas ||
-          (op.kind == StoreKind::kSet &&
-           !ShouldEmbedPayload(shard.slab, size));
-      if (size == 0 || !slab_store) {
-        continue;
-      }
-      const std::size_t footprint = shard.slab.FootprintFor(size);
-      if (n_decided == kMaxClasses ||
-          std::find(decided, decided + n_decided, footprint) !=
-              decided + n_decided) {
-        // Overflowing kMaxClasses distinct classes in one burst is
-        // pathological; the unchecked ops just risk a (charged, counted)
-        // heap fallback.
-        continue;
-      }
-      if (shard.slab.HasAvailable(size)) {
-        decided[n_decided++] = footprint;
-        continue;
-      }
-      if (op.kind != StoreKind::kSet &&
-          shard.table.Contains(core::Prehashed{hashes[j]}, op.key) ==
-              (op.kind == StoreKind::kAdd)) {
-        continue;  // this op cannot store; a later one may still need it
-      }
-      decided[n_decided++] = footprint;
-      // Freed chunks only ever return to their own class: if the arena
-      // never carved this class a page, neither eviction nor a reclaimer
-      // drain can produce one — the store goes straight to the heap
-      // fallback (still charged exactly; the byte-cap sweep keeps total
-      // memory bounded).
-      if (shard.slab.HasChunksOf(size)) {
-        dry[n_dry++] = footprint;
-      }
-    }
-    // The store path's one evict-for-class site. All dry classes share ONE
-    // eviction sweep under ONE store-mutex acquisition (never while
-    // holding a stripe), then ONE reclaimer drain with no locks held so the
-    // victims' chunks (and any same-class retirements from ordinary churn)
-    // actually return to the pool. Holding no engine lock is what makes
-    // the drain safe: callbacks free chunks into the slab mutex, and the
-    // grace period only waits on read-side sections, never on writers.
-    if (n_dry != 0) {
-      {
-        std::lock_guard<StoreMutex> lock(shard.store_mutex);
-        for (std::size_t k = 0; k < n_dry; ++k) {
-          EvictForClassLocked(shard, dry[k]);
-        }
-      }
-      Shard::Table::reclaimer_type::Drain();
-    }
-
     // Execute the group in request order under AT MOST ONE store-mutex
     // acquisition, stripe locks nested under it. Capped caches take it so
     // the gauge check and eviction sweep are atomic against each publish;
@@ -1115,6 +986,19 @@ void RpEngine::StoreMany(const StoreOp* ops, std::size_t count,
           ++stored;
           ++combines;
           continue;
+        }
+        if (track_eviction_ && ops[j].kind == StoreKind::kSet) {
+          // A SET always stores, so make room for its whole charge before
+          // publishing: the new value exists beside the old one until a
+          // grace period (memcached, too, allocates the new item before
+          // unlinking the old), and the byte gauge never exceeds the cap.
+          // Its own key is not a victim. Other kinds may not store, so
+          // they only evict after publishing.
+          EvictLocked(shard,
+                      ops[j].key.size() +
+                          shard.slab.FootprintFor(ops[j].data.size()) +
+                          kItemOverheadBytes,
+                      ops[j].key);
         }
         bool inserted = false;
         results[j] = StoreOneLocked(shard, core::Prehashed{hashes[j]}, ops[j],
@@ -1266,7 +1150,7 @@ void RpEngine::FlushAll(std::int64_t delay_seconds) {
 //
 // One tick per shard, piggybacked on the shard's resize-worker wakeup (and
 // runnable synchronously through RunMaintenanceTick). The tick hosts slab
-// automove, the expired-item crawl and the inline reclaimer pump.
+// automove and the expired-item crawl.
 
 void RpEngine::RunMaintenanceTick(std::size_t shard_index) {
   MaintenanceTick(*shards_[shard_index]);
@@ -1276,11 +1160,6 @@ void RpEngine::MaintenanceTick(Shard& shard) {
   std::lock_guard<std::mutex> lock(shard.tick_mu);
   AutomoveTick(shard);
   CrawlerTick(shard);
-  // Pump a small pending callback batch inline: under light load the
-  // shard ticks absorb reclamation entirely and the dedicated reclaimer
-  // thread never wakes (its wake threshold is kArmedWakeDepth while
-  // pumpers are armed).
-  rcu::Epoch::Callbacks().TryPump(kTickPumpMax);
 }
 
 void RpEngine::AutomoveTick(Shard& shard) {
@@ -1408,7 +1287,6 @@ EngineStats RpEngine::Stats() const {
   rcu::RcuCallbackQueue& reclaimer = rcu::Epoch::Callbacks();
   stats.reclaimer_pending = reclaimer.pending();
   stats.reclaimer_wakeups = reclaimer.wakeups();
-  stats.reclaimer_inline_pumps = reclaimer.inline_pumps();
   FillMetaCommandStats(&stats);
   return stats;
 }

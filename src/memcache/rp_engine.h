@@ -37,12 +37,12 @@
 // accounting against allocator overhead. Chunks are recycled strictly
 // through value destruction inside nodes the DeferredReclaimer retires,
 // so a reader inside an epoch section can never observe a reused chunk.
-// When a size class runs dry against the shard's arena (max_bytes /
-// shards), the store path evicts for that class and drains the reclaimer
-// so retired chunks actually return; if the class is still dry (deferred
-// frees cannot be conjured synchronously) the allocation falls back to an
-// exact-size tracked heap block, keeping the cache serving and the gauge
-// honest.
+// A store never waits for a grace period. When a size class runs dry
+// against the shard's arena (max_bytes / shards), the allocation falls
+// back to an exact-size tracked heap block, charged to the byte gauge, so
+// the cache keeps serving and the byte-cap sweep still bounds memory; the
+// maintenance tick's slab automove then moves a page to the starving
+// class.
 #ifndef RP_MEMCACHE_RP_ENGINE_H_
 #define RP_MEMCACHE_RP_ENGINE_H_
 
@@ -80,11 +80,10 @@ class RpEngine final : public CacheEngine {
   void GetManyScratch(const std::string_view* keys, std::size_t count,
                       ScratchGetResult* out, std::string* scratch) override;
   // Every store, singletons included: ops are hashed once up front and
-  // grouped by shard; each shard group pre-ensures slab chunks (one
-  // eviction sweep + at most ONE reclaimer drain for the whole group),
-  // then executes its ops in request order under at most ONE store_mutex
-  // acquisition (none on an uncapped cache), with one resize nudge and one
-  // batched `sets` update at the end.
+  // grouped by shard; each shard group executes its ops in request order
+  // under at most ONE store_mutex acquisition (none on an uncapped cache),
+  // with one resize nudge and one batched `sets` update at the end. Never
+  // waits for a grace period.
   void StoreMany(const StoreOp* ops, std::size_t count,
                  StoreResult* results) override;
   ArithResult Incr(const std::string& key, std::uint64_t delta) override;
@@ -117,8 +116,8 @@ class RpEngine final : public CacheEngine {
 
   // Runs one maintenance tick for `shard_index` synchronously on the
   // calling thread — exactly what the shard's resize worker runs every
-  // poll. Test/bench hook: call this, and the automove step, the crawl
-  // step and the inline reclaimer pump have deterministically happened.
+  // poll. Test/bench hook: call this, and the automove step and the crawl
+  // step have deterministically happened.
   void RunMaintenanceTick(std::size_t shard_index);
 
  private:
@@ -135,21 +134,13 @@ class RpEngine final : public CacheEngine {
   Shard& ShardForHash(std::size_t hash) const {
     return *shards_[ShardIndexForHash(hash)];
   }
-  // True when this shard is over its item or byte budget.
-  bool OverLimit(const Shard& shard) const;
+  // True when this shard is over its item budget, or would be over its
+  // byte budget with `incoming` more bytes charged.
+  bool OverLimit(const Shard& shard, std::size_t incoming = 0) const;
+  // Evicts until !OverLimit(shard, incoming), never evicting `keep`.
   // Caller must hold shard.store_mutex.
-  void EvictLocked(Shard& shard);
-  // Bounded class-targeted eviction sweep run by StoreMany's chunk
-  // pre-pass when a slab class is exhausted (the caller then drains the
-  // deferred reclaimer so retired chunks return to the pool; the
-  // allocation itself still falls back to the heap if the class stays
-  // dry): only victims whose chunk footprint matches the dry class
-  // are evicted (freed chunks return to their own class, so anything else
-  // is collateral damage); wrong-class live items are requeued. Unlinks
-  // regardless of the byte gauge — the chunks come back only after a
-  // grace period, so sweeping "until a chunk is free" would empty the
-  // shard. Caller must hold shard.store_mutex.
-  void EvictForClassLocked(Shard& shard, std::size_t needed_footprint);
+  void EvictLocked(Shard& shard, std::size_t incoming = 0,
+                   std::string_view keep = {});
   // Erases `key` if (still) dead, refunding the gauge. Returns whether the
   // entry was actually reclaimed (the crawler counts its wins).
   bool ReclaimDead(Shard& shard, core::Prehashed hash, std::string_view key);
@@ -158,8 +149,7 @@ class RpEngine final : public CacheEngine {
 
   // -- Maintenance plane (runs on each shard's resize-worker thread) ------
 
-  // The per-shard tick: slab automove, a bounded expired-item crawl, and
-  // an inline reclaimer pump.
+  // The per-shard tick: slab automove and a bounded expired-item crawl.
   void MaintenanceTick(Shard& shard);
   void AutomoveTick(Shard& shard);
   void CrawlerTick(Shard& shard);

@@ -23,13 +23,13 @@
 //
 // Exhaustion policy: TryAllocate returns nullptr when a size class is dry
 // and the arena cap (EngineConfig::max_bytes / shards) forbids another
-// page — the engine reacts by evicting for that class and draining the
-// deferred reclaimer so retired chunks actually come back. Allocate()
-// falls back to a tracked exact-size heap allocation when the pool stays
-// dry (deferred frees mean eviction cannot synchronously produce a chunk),
-// so the cache keeps serving; fallbacks are counted and still charged
-// exactly. Values larger than `chunk_max` always take the fallback path
-// (memcached similarly special-cases large items).
+// page. Allocate() then falls back to a tracked exact-size heap
+// allocation, so the cache keeps serving; fallbacks are counted and still
+// charged exactly, and the engine's byte-cap sweep keeps total memory
+// bounded. The RP engine never waits for retired chunks to come back (that
+// takes a grace period); slab automove later moves a free page to the
+// starving class. Values larger than `chunk_max` always take the fallback
+// path (memcached similarly special-cases large items).
 #ifndef RP_MEMCACHE_SLAB_H_
 #define RP_MEMCACHE_SLAB_H_
 
@@ -161,9 +161,8 @@ class SlabAllocator {
   bool HasAvailable(std::size_t size) const;
 
   // True when the arena has carved at least one chunk of `size`'s class.
-  // The engine's "is eviction even worth trying" gate: freed chunks only
-  // ever return to their own class, so a class the arena never carved can
-  // not be helped by evicting — or by draining the reclaimer.
+  // Test hook: tells a class that is dry with chunks in use from one the
+  // arena never carved.
   bool HasChunksOf(std::size_t size) const;
 
   // Deterministic footprint an Allocate(size) of this policy produces —

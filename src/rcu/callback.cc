@@ -1,7 +1,5 @@
 #include "src/rcu/callback.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace rp::rcu {
@@ -33,15 +31,12 @@ void RcuCallbackQueue::Enqueue(Callback fn, void* arg) {
     const bool was_empty = pending_.empty();
     pending_.push_back(Entry{fn, arg});
     ++enqueued_;
-    // Unarmed, the reclaimer can only be parked in wait() after having
-    // observed an empty queue, so only the empty→non-empty transition
-    // needs a wakeup; every other enqueue is picked up when the current
-    // batch finishes and the loop re-checks the predicate. Armed, small
-    // queues are drained by the maintenance ticks' TryPump() and the
-    // reclaimer stays parked until the backlog crosses kArmedWakeDepth.
-    // Either way the futex syscall stays off the common update path.
-    should_wake = (armed_pumpers_ == 0) ? was_empty
-                                        : pending_.size() == kArmedWakeDepth;
+    // The reclaimer parks only after observing an empty queue, so the
+    // empty→non-empty transition starts a batch; reaching kWakeDepth ends
+    // its window early. Every other enqueue joins the current batch or is
+    // picked up when the loop re-checks its predicates, so the futex
+    // syscall stays off the common update path.
+    should_wake = was_empty || pending_.size() == kWakeDepth;
   }
   if (should_wake) {
     wake_.notify_one();
@@ -54,58 +49,12 @@ void RcuCallbackQueue::Barrier() {
   if (executed_ >= target) {
     return;
   }
-  // The reclaimer may be parked (armed mode) or sitting out its batch
-  // window; barrier_waiters_ makes both its wait predicates true so the
-  // pending queue is processed immediately rather than after the window.
+  // The reclaimer may be sitting out its batch window; barrier_waiters_
+  // cuts the window short so the pending queue is processed immediately.
   ++barrier_waiters_;
   wake_.notify_one();
   done_.wait(lock, [&] { return executed_ >= target; });
   --barrier_waiters_;
-}
-
-void RcuCallbackQueue::ArmInlinePump() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++armed_pumpers_;
-}
-
-void RcuCallbackQueue::DisarmInlinePump() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --armed_pumpers_;
-  }
-  // Whatever the departing pumper would have drained is now the dedicated
-  // reclaimer's responsibility again.
-  wake_.notify_one();
-}
-
-std::size_t RcuCallbackQueue::TryPump(std::size_t max_callbacks) {
-  std::vector<Entry> batch;
-  {
-    std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) {
-      return 0;  // a writer or the reclaimer holds the lock; don't contend
-    }
-    if (pending_.empty() || pending_.size() > max_callbacks || stopping_) {
-      return 0;
-    }
-    batch.reserve(kInitialCapacity);  // keep pending_ pre-sized after swap
-    batch.swap(pending_);
-    ++inline_pumps_;
-  }
-
-  // One grace period covers the batch, same argument as ReclaimerLoop.
-  synchronize_();
-  for (const Entry& entry : batch) {
-    entry.fn(entry.arg);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    executed_ += batch.size();
-    ++batches_;
-  }
-  done_.notify_all();
-  return batch.size();
 }
 
 std::uint64_t RcuCallbackQueue::callbacks_executed() const {
@@ -128,72 +77,28 @@ std::uint64_t RcuCallbackQueue::wakeups() const {
   return wakeups_;
 }
 
-std::uint64_t RcuCallbackQueue::inline_pumps() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return inline_pumps_;
-}
-
-std::uint64_t RcuCallbackQueue::batch_window_us() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return window_us_;
-}
-
-void RcuCallbackQueue::AdaptWindowLocked(std::size_t batch_size) {
-  // Batch size per window is proportional to the enqueue rate, so steering
-  // on it tracks load without any clock reads. Small batches mean the
-  // window expires mostly empty: stretch it so light load amortises more
-  // retirements per grace period (and per futex wake). Large batches mean
-  // writers are outrunning us: shrink it to bound pending-queue memory.
-  if (batch_size < kSmallBatch) {
-    window_us_ = std::min(window_us_ * 2, kMaxWindowUs);
-  } else if (batch_size > kLargeBatch) {
-    window_us_ = std::max(window_us_ / 2, kMinWindowUs);
-  }
-}
-
 void RcuCallbackQueue::ReclaimerLoop() {
   // In the kernel, call_rcu batches implicitly because grace periods take
   // milliseconds. Here a grace period with few/no readers costs less than a
   // mutex bounce, so an eager reclaimer would wake per retirement and spend
-  // its life ping-ponging the queue lock against writers. The accumulation
-  // window restores the batching; see AdaptWindowLocked for how it tracks
-  // the enqueue rate.
+  // its life ping-ponging the queue lock against writers. The fixed
+  // accumulation window restores the batching.
   std::vector<Entry> batch;
   batch.reserve(kInitialCapacity);
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] {
-        if (stopping_) {
-          return true;
-        }
-        if (pending_.empty()) {
-          return false;
-        }
-        // Armed: leave small queues to the inline pumpers; only a deep
-        // backlog or a Barrier() waiter justifies waking this thread.
-        return armed_pumpers_ == 0 || barrier_waiters_ != 0 ||
-               pending_.size() >= kArmedWakeDepth;
-      });
-      if (pending_.empty() && stopping_) {
-        return;
+      wake_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
+      if (pending_.empty()) {
+        return;  // stopping with nothing left to run
       }
       ++wakeups_;
-      if (!stopping_) {
-        // Accumulation window. A condition wait (not a bare sleep) so a
-        // Barrier() caller can cut it short — the old unlock+sleep_for
-        // added a full window to every store-path Drain.
-        wake_.wait_for(lock, std::chrono::microseconds(window_us_),
-                       [&] { return stopping_ || barrier_waiters_ != 0; });
-      }
-      // An inline pump may have raced in during the window; re-check.
-      if (pending_.empty()) {
-        if (stopping_) {
-          return;
-        }
-        continue;
-      }
-      AdaptWindowLocked(pending_.size());
+      // Accumulation window. A condition wait, not a sleep, so a deep
+      // queue, a Barrier() caller or shutdown can cut it short.
+      wake_.wait_for(lock, kBatchWindow, [&] {
+        return stopping_ || barrier_waiters_ != 0 ||
+               pending_.size() >= kWakeDepth;
+      });
       batch.swap(pending_);
     }
 

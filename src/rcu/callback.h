@@ -6,24 +6,17 @@
 // retirements — the same batching argument kernel call_rcu makes), then
 // invokes the callbacks.
 //
-// Two mechanisms keep the reclaimer off the writers' critical path:
-//
-//  * Adaptive batch window. The accumulation window between wakeup and
-//    batch-swap stretches when batches come up small (light load: fewer
-//    grace periods and futex wakes per callback) and shrinks when batches
-//    are large (heavy load: bound pending-queue memory). The window is a
-//    pure function of observed batch size, so it tracks enqueue rate
-//    without reading a clock on the hot path.
-//
-//  * Inline pumping. A maintenance thread that already wakes periodically
-//    (e.g. a cache shard's resize worker) can register via ArmInlinePump()
-//    and drain small batches itself with TryPump(). While any pumper is
-//    armed, Enqueue() stops waking the reclaimer until the queue is deep
-//    enough to be worth a dedicated thread — under light load the
-//    reclaimer goes fully idle and its cycle steal disappears.
+// One wake policy. Enqueue() wakes the reclaimer when the queue goes from
+// empty to non-empty and again when it reaches kWakeDepth. Once awake, the
+// reclaimer lets the batch accumulate for kBatchWindow; a queue of
+// kWakeDepth or more, a Barrier() waiter or shutdown cuts the window short.
+// A trickle of retirements therefore costs at most one wakeup and one
+// grace period per window, and a burst never holds more than about
+// kWakeDepth callbacks before its batch starts.
 #ifndef RP_RCU_CALLBACK_H_
 #define RP_RCU_CALLBACK_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -37,11 +30,12 @@ class RcuCallbackQueue {
  public:
   using Callback = void (*)(void*);
 
-  // Pending depth at which Enqueue() wakes the dedicated reclaimer even
-  // though inline pumpers are armed: past this the queue is worth a
-  // thread, and waiting for the next maintenance tick would let pending
-  // memory grow unboundedly if the pumpers stall.
-  static constexpr std::size_t kArmedWakeDepth = 256;
+  // Pending depth that ends the batch window early: past this, waiting
+  // longer only grows pending memory.
+  static constexpr std::size_t kWakeDepth = 256;
+  // How long a woken reclaimer lets a batch accumulate before its grace
+  // period.
+  static constexpr std::chrono::milliseconds kBatchWindow{10};
 
   // `synchronize` must implement the domain's wait-for-readers operation.
   explicit RcuCallbackQueue(std::function<void()> synchronize);
@@ -64,29 +58,11 @@ class RcuCallbackQueue {
   // Blocks until every callback enqueued before this call has executed.
   void Barrier();
 
-  // -- Inline pumping ------------------------------------------------------
-
-  // Declares that a periodic maintenance thread will call TryPump().
-  // While at least one pumper is armed, Enqueue() defers reclaimer wakeups
-  // until kArmedWakeDepth callbacks are pending. Pair with
-  // DisarmInlinePump() before the pumper stops ticking.
-  void ArmInlinePump();
-  void DisarmInlinePump();
-
-  // Opportunistically drains the pending queue if it currently holds at
-  // most `max_callbacks` entries (larger backlogs are left for the
-  // dedicated reclaimer — a maintenance tick should stay bounded). Runs
-  // one grace period plus the callbacks on the calling thread. Never
-  // blocks on the queue lock. Returns the number of callbacks executed.
-  std::size_t TryPump(std::size_t max_callbacks);
-
   // Stats for tests, the stats wire, and the ablation benches.
   std::uint64_t callbacks_executed() const;
   std::uint64_t batches_processed() const;
   std::size_t pending() const;
-  std::uint64_t wakeups() const;       // dedicated-reclaimer batch wakeups
-  std::uint64_t inline_pumps() const;  // batches drained via TryPump()
-  std::uint64_t batch_window_us() const;
+  std::uint64_t wakeups() const;  // reclaimer batch wakeups
 
  private:
   struct Entry {
@@ -99,18 +75,7 @@ class RcuCallbackQueue {
   // are in flight at once.
   static constexpr std::size_t kInitialCapacity = 1024;
 
-  // Adaptive-window bounds and thresholds. A batch below kSmallBatch means
-  // the window expires mostly empty — double it (fewer grace periods per
-  // callback). A batch above kLargeBatch means writers are outrunning the
-  // reclaimer — halve it (bound pending memory).
-  static constexpr std::uint64_t kMinWindowUs = 10;
-  static constexpr std::uint64_t kMaxWindowUs = 1000;
-  static constexpr std::uint64_t kInitialWindowUs = 50;
-  static constexpr std::size_t kSmallBatch = 16;
-  static constexpr std::size_t kLargeBatch = 512;
-
   void ReclaimerLoop();
-  void AdaptWindowLocked(std::size_t batch_size);
 
   const std::function<void()> synchronize_;
 
@@ -123,9 +88,6 @@ class RcuCallbackQueue {
   std::uint64_t executed_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t wakeups_ = 0;
-  std::uint64_t inline_pumps_ = 0;
-  std::uint64_t window_us_ = kInitialWindowUs;
-  std::size_t armed_pumpers_ = 0;
   std::size_t barrier_waiters_ = 0;
 
   std::thread reclaimer_;

@@ -89,16 +89,14 @@ class Epoch {
   // Waits until all callbacks retired before this call have executed.
   static void Barrier();
 
-  // Barrier() calls ("reclaimer pumps") this thread has issued so far —
-  // the update-side analogue of ThreadReadSections(): batched store paths
-  // promise at most one pump per shard group, and tests assert exactly
-  // that by delta.
+  // Barrier() calls this thread has issued so far — the update-side
+  // analogue of ThreadReadSections(): the store path promises never to
+  // wait for a grace period, and tests assert that by a zero delta.
   static std::uint64_t ThreadBarrierCalls() { return tls_barrier_calls_; }
 
-  // The domain's deferred-reclamation queue. Exposed so maintenance
-  // threads can arm inline pumping / drain small batches (TryPump) and so
-  // the stats wire can report reclaimer health (pending depth, wakeups,
-  // inline pumps). Constructs the queue on first use.
+  // The domain's deferred-reclamation queue. Exposed so the stats wire can
+  // report reclaimer health (pending depth, wakeups). Constructs the queue
+  // on first use.
   static RcuCallbackQueue& Callbacks();
 
   // -- Grace-period polling (kernel get_state/poll_state equivalent) -------

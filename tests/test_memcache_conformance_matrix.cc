@@ -235,7 +235,7 @@ TEST(ConformanceMatrix, EveryOpAgreesOnEveryItemState) {
 // engine whose burst spans several shard groups, and a capped one-shard
 // engine whose cells' slab class is dry — the arena is already full of
 // other classes' pages, so every cell payload takes the exhaustion path
-// (pre-pass, then heap fallback) on both instances.
+// (the heap fallback) on both instances.
 
 // Buckets per shard table. The RP maintenance crawler walks 8 buckets per
 // tick from bucket 0 and reclaims dead items it meets, which would make

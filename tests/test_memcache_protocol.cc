@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/memcache/protocol.h"
 
@@ -479,6 +481,91 @@ TEST(Protocol, FormatsMetaArithResponse) {
   result.status = ArithStatus::kNotFound;
   AppendMetaArithResponse(&out, "ctr", MustParse("ma ctr q Ok\r\n"), result);
   EXPECT_EQ(out, "NF Ok\r\n");  // failures always answer
+}
+
+// ---- Split invariance ------------------------------------------------------
+//
+// A request must parse the same however recv() splits the stream: the line
+// limits apply to the line, not to the bytes buffered so far.
+
+// Everything the parser yields for `stream` fed in pieces that end at
+// `cuts` (ascending offsets), draining Next() after every piece: each
+// request re-serialized, each error as "ERROR <message>".
+std::string Transcript(std::string_view stream,
+                       const std::vector<std::size_t>& cuts) {
+  RequestParser parser;
+  std::string transcript;
+  std::size_t fed = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t end = i < cuts.size() ? cuts[i] : stream.size();
+    parser.Feed(stream.substr(fed, end - fed));
+    fed = end;
+    Request request;
+    for (ParseStatus status; (status = parser.Next(&request)) !=
+                             ParseStatus::kNeedMore;) {
+      if (status == ParseStatus::kOk) {
+        AppendRequestWire(&transcript, request, /*strip_quiet=*/false);
+      } else {
+        transcript += "ERROR " + parser.error_message() + "\n";
+      }
+    }
+  }
+  return transcript;
+}
+
+void ExpectSplitInvariant(std::string_view stream, std::string_view whole) {
+  std::vector<std::size_t> bytewise;
+  for (std::size_t k = 1; k < stream.size(); ++k) {
+    bytewise.push_back(k);
+    EXPECT_EQ(Transcript(stream, {k}), whole) << "split at " << k;
+  }
+  EXPECT_EQ(Transcript(stream, bytewise), whole) << "one byte at a time";
+}
+
+TEST(ProtocolSplits, LongMultiGetParsesAtEverySplitPoint) {
+  // A 20-key, 575-byte classic multi-get, then ordinary traffic.
+  std::string line = "get";
+  for (int i = 0; i < 20; ++i) {
+    std::string key = "split-key-" + std::to_string(i) + "-";
+    key.resize(i < 10 ? 27 : 28, 'k');
+    line += " " + key;
+  }
+  line += "\r\n";
+  ASSERT_EQ(line.size(), 575u);
+  const std::string stream = line + "set k 0 0 5\r\nhello\r\nget k\r\n";
+  const std::string whole = Transcript(stream, {});
+  EXPECT_EQ(whole, line + "set k 0 0 5\r\nhello\r\nget k\r\n");
+  ExpectSplitInvariant(stream, whole);
+}
+
+TEST(ProtocolSplits, OverlongLineFailsOnceAtEverySplitPoint) {
+  // A 3000-byte non-retrieval line is past kMaxLineLength whether or not
+  // its \r\n has arrived: one error, and the next line still parses.
+  const std::string line = "delete " + std::string(2991, 'k') + "\r\n";
+  ASSERT_EQ(line.size(), 3000u);
+  const std::string stream = line + "get k\r\n";
+  const std::string whole = Transcript(stream, {});
+  EXPECT_EQ(whole, "ERROR command line too long\nget k\r\n");
+  ExpectSplitInvariant(stream, whole);
+}
+
+TEST(ProtocolSplits, RetrievalLinesHoldTheirKeyBound) {
+  // kMaxRetrievalKeys maximum-length keys parse; a non-retrieval line of
+  // kMaxLineLength parses and one byte more fails.
+  std::string get = "gets";
+  for (std::size_t i = 0; i < RequestParser::kMaxRetrievalKeys; ++i) {
+    std::string key = std::to_string(i) + "-";
+    key.resize(RequestParser::kMaxKeyLength, 'k');
+    get += " " + key;
+  }
+  EXPECT_EQ(MustParse(get + "\r\n").keys.size(),
+            RequestParser::kMaxRetrievalKeys);
+
+  const std::string at_limit =
+      "touch k " + std::string(RequestParser::kMaxLineLength - 8, '1');
+  ASSERT_EQ(at_limit.size(), RequestParser::kMaxLineLength);
+  MustParseError(at_limit + "\r\n", "bad touch exptime");
+  MustParseError(at_limit + "1\r\n", "command line too long");
 }
 
 }  // namespace

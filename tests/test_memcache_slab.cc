@@ -287,11 +287,11 @@ TEST(SlabConformance, GaugeSurvivesFallbackPooledTransitions) {
     engine.Set(keys.back(), blob, 0, 0);
   }
 
-  // Append/prepend clones need a fresh chunk but never drain the
-  // reclaimer, so retired chunks pile up in grace-period limbo and the
-  // clones alternate between pooled chunks and heap fallbacks — exactly
-  // the footprint mix the historical drift bug needed. Interleaved Sets
-  // drain on exhaustion and swing the pool back.
+  // Every store needs a fresh chunk but never drains the reclaimer, so
+  // retired chunks pile up in grace-period limbo and the stores alternate
+  // between pooled chunks and heap fallbacks — exactly the footprint mix
+  // the historical drift bug needed. The reclaimer's batches swing the
+  // pool back.
   Xoshiro256 rng(5);
   for (int i = 0; i < 600; ++i) {
     const std::string& key = keys[rng.NextBounded(keys.size())];
@@ -387,7 +387,7 @@ TEST(SlabConformance, ByteCapHoldsUnderExactAccountingOnBothEngines) {
 //
 // GET readers race SET/DELETE churn whose values hop across size-class
 // boundaries, against a deliberately small per-shard arena so chunks are
-// constantly exhausted, evicted-for, drained and recycled. Every value is
+// constantly exhausted, evicted and recycled. Every value is
 // self-describing (key-derived fill byte + only that byte, any length the
 // writers could have stored), so if a reader's in-section copy ever
 // overlapped a recycled chunk, the payload would carry another key's fill

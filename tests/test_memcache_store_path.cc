@@ -13,6 +13,8 @@
 //     both engines, results and final cache state included.
 //  4. Embedded payloads survive the size transitions that move a value
 //     between the embedded region and an owned payload chunk.
+//  5. A store into a dry slab class takes the charged heap fallback; it
+//     neither evicts for the class nor waits for a grace period.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,6 +25,7 @@
 
 #include "src/memcache/locked_engine.h"
 #include "src/memcache/rp_engine.h"
+#include "src/memcache/slab.h"
 #include "src/rcu/epoch.h"
 #include "src/rcu/reclaimer.h"
 
@@ -250,6 +253,57 @@ TEST(StorePathLocking, OneOpStoreTakesTheGroupLockPathAndIsNoBatch) {
     EXPECT_EQ(after.store_batched_ops, before.store_batched_ops);
     EXPECT_EQ(after.sets, before.sets + 2);
   }
+}
+
+// A class that has its page but no free chunk, on a capped cache far under
+// its byte budget: the store must not evict for the class or drain the
+// reclaimer to get a chunk back. It takes the heap fallback and returns.
+TEST(StorePathLocking, DryClassStoreFallsBackWithoutWaiting) {
+  EngineConfig config;
+  config.shards = 1;
+  config.initial_buckets = 4096;
+  config.max_bytes = std::size_t{256} << 10;  // 8 pages of 32 KiB
+  RpEngine engine(config);
+  // A probe allocator with the engine's slab policy replays the engine's
+  // value-slab allocations (payloads above the embed limit; nodes live in
+  // their own slab), so it knows when the engine's class runs dry.
+  SlabAllocator probe(SlabPolicyFor(config, 1));
+  constexpr std::size_t kDrySize = 1000;
+  int next_key = 0;
+  auto store = [&](std::size_t size) {
+    probe.Allocate(size);
+    ASSERT_EQ(engine.Add("dry-" + std::to_string(next_key++),
+                         std::string(size, 'x'), 0, 0),
+              StoreResult::kStored);
+  };
+  store(kDrySize);  // carves the class's page
+  // Pin every other page with one live item of a distinct class.
+  for (std::size_t size = 3000; size > 300; size = size * 4 / 5) {
+    if (!probe.HasChunksOf(size) && probe.HasAvailable(size)) {
+      store(size);
+    }
+  }
+  while (probe.HasAvailable(kDrySize)) {
+    store(kDrySize);
+  }
+  ASSERT_TRUE(probe.HasChunksOf(kDrySize));
+
+  std::vector<std::string> keys;
+  const std::string value(kDrySize, 'y');
+  std::vector<StoreOp> ops = SetBurst(1, value, keys);
+  StoreResult result = StoreResult::kNotStored;
+  const EngineStats before = engine.Stats();
+  const std::uint64_t barriers_before = rcu::Epoch::ThreadBarrierCalls();
+  engine.StoreMany(ops.data(), 1, &result);
+  EXPECT_EQ(rcu::Epoch::ThreadBarrierCalls() - barriers_before, 0u)
+      << "a store into a dry class must not wait for a grace period";
+  EXPECT_EQ(result, StoreResult::kStored);
+  const EngineStats after = engine.Stats();
+  EXPECT_EQ(after.slab_fallbacks, before.slab_fallbacks + 1);
+  EXPECT_EQ(after.evictions, before.evictions);
+  StoredValue out;
+  ASSERT_TRUE(engine.Get(keys[0], &out));
+  EXPECT_EQ(out.data, value);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -113,105 +114,49 @@ TEST(CallbackQueue, PendingCountDrops) {
   EXPECT_EQ(queue.pending(), 0u);
 }
 
-// -- Inline pumping / adaptive scheduling ---------------------------------
+// -- Wake policy ------------------------------------------------------------
 
-TEST(CallbackQueue, TryPumpDrainsSmallBacklogInline) {
+TEST(CallbackQueue, TrickleWakesAtMostOncePerBatchWindow) {
+  // A woken reclaimer waits out the whole batch window before its grace
+  // period, so a slow trickle of retirements (one per 100 µs, well below
+  // kWakeDepth per window) costs at most one wakeup per window — not one
+  // per retirement or per shortened window.
   RcuCallbackQueue queue([] {});
-  queue.ArmInlinePump();
   std::atomic<int> executed{0};
-  for (int i = 0; i < 32; ++i) {
-    queue.Enqueue([](void* arg) { static_cast<std::atomic<int>*>(arg)->fetch_add(1); },
-                  &executed);
-  }
-  const std::size_t pumped = queue.TryPump(128);
-  EXPECT_EQ(pumped, 32u);
-  EXPECT_EQ(executed.load(), 32);
-  EXPECT_EQ(queue.pending(), 0u);
-  EXPECT_GE(queue.inline_pumps(), 1u);
-  queue.DisarmInlinePump();
-}
-
-TEST(CallbackQueue, TryPumpLeavesDeepBacklogsToTheReclaimer) {
-  // A maintenance tick must stay bounded: TryPump refuses backlogs larger
-  // than its budget instead of draining them partially.
-  RcuCallbackQueue queue([] {});
-  queue.ArmInlinePump();
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 64; ++i) {
-    queue.Enqueue([](void* arg) { static_cast<std::atomic<int>*>(arg)->fetch_add(1); },
-                  &executed);
-  }
-  EXPECT_EQ(queue.TryPump(16), 0u);
-  queue.DisarmInlinePump();
-  queue.Barrier();  // the reclaimer still owns the backlog
-  EXPECT_EQ(executed.load(), 64);
-}
-
-TEST(CallbackQueue, ArmedQueueDefersReclaimerWakeups) {
-  // While a pumper is armed, small enqueues must NOT wake the dedicated
-  // reclaimer — the whole point is that it idles under light load.
-  RcuCallbackQueue queue([] {});
-  queue.ArmInlinePump();
   const std::uint64_t wakeups_before = queue.wakeups();
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 8; ++i) {
+  const auto start = std::chrono::steady_clock::now();
+  int enqueued = 0;
+  while (std::chrono::steady_clock::now() - start <
+         std::chrono::milliseconds(100)) {
     queue.Enqueue([](void* arg) { static_cast<std::atomic<int>*>(arg)->fetch_add(1); },
                   &executed);
+    ++enqueued;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(queue.wakeups(), wakeups_before);
-  EXPECT_EQ(queue.pending(), 8u);  // parked, waiting for the next tick
-  EXPECT_EQ(queue.TryPump(128), 8u);
-  queue.DisarmInlinePump();
+  queue.Barrier();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const std::uint64_t wakeups = queue.wakeups() - wakeups_before;
+  const std::uint64_t bound =
+      static_cast<std::uint64_t>(elapsed / RcuCallbackQueue::kBatchWindow) + 2;
+  EXPECT_EQ(executed.load(), enqueued);
+  EXPECT_GE(wakeups, 1u);
+  EXPECT_LE(wakeups, bound) << "enqueued " << enqueued;
 }
 
-TEST(CallbackQueue, DeepBacklogWakesReclaimerEvenWhenArmed) {
-  // Past kArmedWakeDepth the queue is worth a thread regardless of armed
-  // pumpers — pending memory must stay bounded if the pumpers stall.
+TEST(CallbackQueue, DeepBacklogCompletesViaBarrier) {
+  // A backlog past kWakeDepth ends the batch window early; Barrier() sees
+  // every callback through.
   RcuCallbackQueue queue([] {});
-  queue.ArmInlinePump();
   std::atomic<int> executed{0};
-  for (std::size_t i = 0; i < RcuCallbackQueue::kArmedWakeDepth + 64; ++i) {
+  for (std::size_t i = 0; i < RcuCallbackQueue::kWakeDepth + 64; ++i) {
     queue.Enqueue([](void* arg) { static_cast<std::atomic<int>*>(arg)->fetch_add(1); },
                   &executed);
   }
   queue.Barrier();
   EXPECT_EQ(executed.load(),
-            static_cast<int>(RcuCallbackQueue::kArmedWakeDepth) + 64);
+            static_cast<int>(RcuCallbackQueue::kWakeDepth) + 64);
   EXPECT_GE(queue.wakeups(), 1u);
-  queue.DisarmInlinePump();
-}
-
-TEST(CallbackQueue, BatchWindowStaysWithinBounds) {
-  RcuCallbackQueue queue([] {});
-  std::atomic<int> executed{0};
-  // Heavy bursts shrink the window, then idleness lets small batches grow
-  // it back; it must stay inside [10, 1000] µs throughout.
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 800; ++i) {
-      queue.Enqueue([](void* arg) { static_cast<std::atomic<int>*>(arg)->fetch_add(1); },
-                    &executed);
-    }
-    queue.Barrier();
-    EXPECT_GE(queue.batch_window_us(), 10u);
-    EXPECT_LE(queue.batch_window_us(), 1000u);
-  }
-  EXPECT_EQ(executed.load(), 3200);
-}
-
-TEST(CallbackQueue, BarrierCompletesWhileArmed) {
-  // An armed queue defers wakeups, but a Barrier() caller must never be
-  // left waiting on a maintenance tick that may not come.
-  RcuCallbackQueue queue([] {});
-  queue.ArmInlinePump();
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 10; ++i) {
-    queue.Enqueue([](void* arg) { static_cast<std::atomic<int>*>(arg)->fetch_add(1); },
-                  &executed);
-  }
-  queue.Barrier();
-  EXPECT_EQ(executed.load(), 10);
-  queue.DisarmInlinePump();
+  EXPECT_EQ(queue.pending(), 0u);
 }
 
 TEST(EpochRetire, ObjectSurvivesUntilGracePeriod) {
