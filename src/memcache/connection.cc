@@ -55,19 +55,39 @@ StoreKind MetaStoreKind(const Request& request) {
   }
 }
 
-// After a vivify/fallback Get, mirror the StoredValue into a scratch slot
-// so the response codec sees one shape on every mg path.
-void FillScratchSlot(ScratchGetResult* slot, const StoredValue& value,
-                     std::string* scratch) {
-  slot->hit = true;
-  slot->data_offset = scratch->size();
-  slot->data_size = value.data.size();
-  scratch->append(value.data);
-  slot->flags = value.flags;
-  slot->cas = value.cas;
-  slot->expire_at = value.expire_at;
-  slot->last_used = value.last_used;
-  slot->fetched = value.fetched;
+// The thread's GET scratch, shared by classic get/gets and every mg batch:
+// the key views, the result slots and the value bytes themselves, reused
+// across requests so a steady-state GET allocates nothing here. Results
+// reference `values` by offset, so it may grow mid-request (a vivified mg
+// re-read appends after the batch) without invalidating earlier hits. Safe
+// because neither ExecuteRequest's get nor ExecuteMetaGetBatch re-enters
+// itself or the other.
+struct GetScratch {
+  std::vector<std::string_view> keys;
+  std::vector<ScratchGetResult> results;
+  std::string values;
+
+  std::string_view value(const ScratchGetResult& r) const {
+    return std::string_view(values.data() + r.data_offset, r.data_size);
+  }
+};
+
+GetScratch& ThreadGetScratch() {
+  static thread_local GetScratch scratch;
+  return scratch;
+}
+
+// The one GET path: ONE engine.GetManyScratch for every key in
+// scratch.keys. On the RP engine that is one epoch read section per shard
+// group, and each hit is copied straight into scratch.values inside it;
+// the only copy after that is the append into the output buffer.
+void FetchKeys(CacheEngine& engine, GetScratch& scratch) {
+  if (scratch.results.size() < scratch.keys.size()) {
+    scratch.results.resize(scratch.keys.size());
+  }
+  scratch.values.clear();
+  engine.GetManyScratch(scratch.keys.data(), scratch.keys.size(),
+                        scratch.results.data(), &scratch.values);
 }
 
 }  // namespace
@@ -85,41 +105,18 @@ void ExecuteRequest(CacheEngine& engine, const Request& request,
   switch (request.op) {
     case Op::kGet:
     case Op::kGets: {
+      // Every get is a batch, a lone key a batch of one, as mg and every
+      // store are. Keys go down as string_views over the parsed request;
+      // responses go out in request order, misses silently skipped.
       const bool with_cas = request.op == Op::kGets;
-      if (request.keys.size() == 1) {
-        StoredValue value;
-        if (engine.Get(request.keys[0], &value)) {
-          AppendValueResponse(out, request.keys[0], value.data, value.flags,
-                              value.cas, with_cas);
-        }
-      } else {
-        // Batched multi-get: one GetManyScratch call for the whole key list
-        // lets the engine amortize per-op costs (the RP engine opens a
-        // single read-side critical section per shard group). Keys go down
-        // as string_views over the parsed request, and hit values come
-        // back in one scratch region — no per-key or per-hit strings.
-        // Responses still go out in request order, misses silently
-        // skipped, per protocol. Thread-local scratch is reused across
-        // requests, so steady-state batches allocate nothing here. Safe
-        // because ExecuteRequest never re-enters itself.
-        static thread_local std::vector<std::string_view> key_views;
-        static thread_local std::vector<ScratchGetResult> results;
-        static thread_local std::string scratch;
-        key_views.assign(request.keys.begin(), request.keys.end());
-        scratch.clear();
-        if (results.size() < request.keys.size()) {
-          results.resize(request.keys.size());
-        }
-        engine.GetManyScratch(key_views.data(), key_views.size(),
-                              results.data(), &scratch);
-        for (std::size_t i = 0; i < request.keys.size(); ++i) {
-          const ScratchGetResult& r = results[i];
-          if (r.hit) {
-            AppendValueResponse(
-                out, request.keys[i],
-                std::string_view(scratch.data() + r.data_offset, r.data_size),
-                r.flags, r.cas, with_cas);
-          }
+      GetScratch& scratch = ThreadGetScratch();
+      scratch.keys.assign(request.keys.begin(), request.keys.end());
+      FetchKeys(engine, scratch);
+      for (std::size_t i = 0; i < request.keys.size(); ++i) {
+        const ScratchGetResult& r = scratch.results[i];
+        if (r.hit) {
+          AppendValueResponse(out, request.keys[i], scratch.value(r), r.flags,
+                              r.cas, with_cas);
         }
       }
       out->append(kResponseEnd);
@@ -373,41 +370,25 @@ void ExecuteMetaGetBatch(CacheEngine& engine, const Request* requests,
   if (count == 0) {
     return;
   }
-  // Thread-local scratch reused across batches: the key views, the result
-  // slots and the value bytes themselves — steady-state quiet runs
-  // allocate nothing here. Results reference scratch by offset, so the
-  // region may grow (vivified values append after the batch) without
-  // invalidating earlier hits. Safe because this function never re-enters.
-  static thread_local std::vector<std::string_view> key_views;
-  static thread_local std::vector<ScratchGetResult> results;
-  static thread_local std::string scratch;
-  key_views.clear();
-  scratch.clear();
+  GetScratch& scratch = ThreadGetScratch();
+  scratch.keys.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    key_views.push_back(requests[i].keys[0]);
+    scratch.keys.push_back(requests[i].keys[0]);
   }
-  if (results.size() < count) {
-    results.resize(count);
-  }
-  // ONE engine call for the whole quiet run: on the RP engine this opens a
-  // single epoch read section per shard group and copies each hit straight
-  // into scratch inside it — the wire path's only copy of the value bytes
-  // after this is the append into the output buffer.
-  engine.GetManyScratch(key_views.data(), count, results.data(), &scratch);
+  // ONE engine call for the whole quiet run.
+  FetchKeys(engine, scratch);
   engine.CountMetaCommand(CacheEngine::MetaCmd::kGet, count);
   const std::int64_t now = NowSeconds();
   for (std::size_t i = 0; i < count; ++i) {
     const Request& request = requests[i];
-    ScratchGetResult& r = results[i];
+    ScratchGetResult& r = scratch.results[i];
     if (!r.hit && request.meta.has_vivify) {
       // mg N<ttl>: a miss autovivifies an empty value and answers as a
-      // hit. Add-then-Get: losing the add race just means another client
-      // vivified first — their value is the answer either way.
+      // hit. Add, then re-read the key straight into its slot: losing the
+      // add race just means another client vivified first — their value
+      // is the answer either way.
       engine.Add(request.keys[0], "", 0, request.meta.vivify_ttl);
-      StoredValue value;
-      if (engine.Get(request.keys[0], &value)) {
-        FillScratchSlot(&r, value, &scratch);
-      }
+      engine.GetManyScratch(&scratch.keys[i], 1, &r, &scratch.values);
     }
     if (r.hit && request.meta.has_exptime) {
       // mg T<ttl>: touch rides the get; the t response flag reports the
@@ -416,9 +397,7 @@ void ExecuteMetaGetBatch(CacheEngine& engine, const Request* requests,
         r.expire_at = ResolveExptime(request.exptime, now);
       }
     }
-    AppendMetaGetResponse(out, request.keys[0], request, r,
-                          std::string_view(scratch.data() + r.data_offset,
-                                           r.data_size),
+    AppendMetaGetResponse(out, request.keys[0], request, r, scratch.value(r),
                           now);
   }
 }

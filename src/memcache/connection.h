@@ -36,6 +36,8 @@ struct ServerConnectionStats {
 
 // Executes one parsed request against an engine, appending the wire
 // response to *out (nothing for noreply). Sets *quit on a quit command.
+// A get/gets, a lone key included, is one engine.GetManyScratch call, as
+// an mg is one ExecuteMetaGetBatch and a store one ExecuteStoreBatch.
 // Shared by the server's connections and the in-process workload driver;
 // conn_stats, when non-null, adds curr/total_connections to `stats`.
 void ExecuteRequest(CacheEngine& engine, const Request& request,

@@ -218,43 +218,43 @@ class CacheEngine {
  public:
   virtual ~CacheEngine() = default;
 
-  // Copies the live value for `key` into *out. Expired items count as
-  // misses (and are lazily reclaimed).
-  virtual bool Get(const std::string& key, StoredValue* out) = 0;
-
-  // Batched multi-get, the one multi-key read path: keys[0..count) arrive
-  // as string_views over the parsed request (the stack's hashers and table
-  // lookups are transparent end-to-end), hit values are appended to
-  // *scratch and referenced by offset in out[i], so no per-hit std::string
-  // is ever allocated. Semantics match per-key Get — per-key hit/miss
-  // stats, lazy reclamation of dead items — plus the meta-flag metadata
-  // (expire_at, prior last_used, prior fetched bit) each hit carries. The
-  // relativistic engine runs each shard's keys inside ONE read-side
-  // critical section; the locked engine takes its global lock once.
+  // The one GET path, batched: every get/gets, a lone key included, and
+  // every mg run. keys[0..count) arrive as string_views over the parsed
+  // request (the stack's hashers and table lookups are transparent
+  // end-to-end), hit values are appended to *scratch and referenced by
+  // offset in out[i], so no per-hit std::string is ever allocated. Expired
+  // items count as misses and are lazily reclaimed; hits and misses are
+  // counted per key; each hit carries the meta-flag metadata (expire_at,
+  // prior last_used, prior fetched bit). The relativistic engine runs each
+  // shard's keys inside ONE read-side critical section; the locked engine
+  // takes its global lock once.
   virtual void GetManyScratch(const std::string_view* keys, std::size_t count,
                               ScratchGetResult* out, std::string* scratch) = 0;
 
-  // Owning-copy form of GetManyScratch (one StoredValue per hit). Nothing
-  // on the wire path calls it; it stays for tests and because perfbench's
-  // TracingEngine overrides it.
+  // Owning-copy conveniences over GetManyScratch, one StoredValue per hit:
+  // Get for one key, GetMany for several. Nothing in src/ calls them.
+  // They are kept only for perfbench's TracingEngine, which overrides them
+  // (hence virtual), and as shorthand in tests.
+  virtual bool Get(const std::string& key, StoredValue* out) {
+    const std::string_view view = key;
+    ScratchGetResult slot;
+    std::string scratch;
+    GetManyScratch(&view, 1, &slot, &scratch);
+    if (slot.hit) {
+      CopyOut(slot, scratch, out);
+    }
+    return slot.hit;
+  }
   virtual void GetMany(const std::string_view* keys, std::size_t count,
                        MultiGetResult* out) {
     std::vector<ScratchGetResult> slots(count);
     std::string scratch;
     GetManyScratch(keys, count, slots.data(), &scratch);
     for (std::size_t i = 0; i < count; ++i) {
-      const ScratchGetResult& slot = slots[i];
-      out[i].hit = slot.hit;
-      if (!slot.hit) {
-        continue;
+      out[i].hit = slots[i].hit;
+      if (slots[i].hit) {
+        CopyOut(slots[i], scratch, &out[i].value);
       }
-      StoredValue& value = out[i].value;
-      value.data.assign(scratch, slot.data_offset, slot.data_size);
-      value.flags = slot.flags;
-      value.cas = slot.cas;
-      value.expire_at = slot.expire_at;
-      value.last_used = slot.last_used;
-      value.fetched = slot.fetched;
     }
   }
 
@@ -344,6 +344,16 @@ class CacheEngine {
   }
 
  private:
+  static void CopyOut(const ScratchGetResult& slot, const std::string& scratch,
+                      StoredValue* out) {
+    out->data.assign(scratch, slot.data_offset, slot.data_size);
+    out->flags = slot.flags;
+    out->cas = slot.cas;
+    out->expire_at = slot.expire_at;
+    out->last_used = slot.last_used;
+    out->fetched = slot.fetched;
+  }
+
   StoreResult StoreOne(const StoreOp& op) {
     StoreResult result;
     StoreMany(&op, 1, &result);

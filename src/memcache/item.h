@@ -204,9 +204,10 @@ inline bool IsLive(const CacheValue& value, std::int64_t flush_at,
          !IsFlushed(value.stored_at, flush_at, now);
 }
 
-// What a GET hands back to the protocol layer (copied out of the engine).
-// The metadata tail (expire_at / last_used / fetched) feeds the meta
-// protocol's t / l / h response flags; both engines fill it on every hit.
+// An owning copy of one hit, as CacheEngine's Get/GetMany conveniences
+// hand it back; the wire path reads ScratchGetResult slots instead. The
+// metadata tail (expire_at / last_used / fetched) is what the meta
+// protocol's t / l / h response flags report.
 struct StoredValue {
   std::string data;
   std::uint32_t flags = 0;
@@ -216,13 +217,13 @@ struct StoredValue {
   bool fetched = false;         // had been fetched before this GET
 };
 
-// One slot of a scratch-region multi-get (CacheEngine::GetManyScratch):
-// instead of an owning std::string per hit, the value bytes are appended
-// to a caller-provided scratch buffer inside the engine's read-side
-// critical section and referenced here by offset (not pointer — the
-// buffer may reallocate while later hits append). This is the meta
-// protocol's zero-intermediate-copy GET path: the response codec reads
-// the bytes straight out of the scratch region.
+// One slot of a scratch-region GET (CacheEngine::GetManyScratch): instead
+// of an owning std::string per hit, the value bytes are appended to a
+// caller-provided scratch buffer inside the engine's read-side critical
+// section and referenced here by offset (not pointer — the buffer may
+// reallocate while later hits append). Every wire GET, classic or meta,
+// reads its hits this way: the response codec copies the bytes straight
+// out of the scratch region.
 struct ScratchGetResult {
   std::size_t data_offset = 0;
   std::size_t data_size = 0;

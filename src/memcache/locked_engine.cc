@@ -168,33 +168,6 @@ void LockedEngine::EvictIfNeededLocked() {
   }
 }
 
-bool LockedEngine::Get(const std::string& key, StoredValue* out) {
-  const std::int64_t now = NowSeconds();
-  std::lock_guard<StoreMutex> lock(mutex_);
-  auto it = FindLiveLocked(key, now);
-  if (it == map_.end()) {
-    ++stats_.get_misses;
-    return false;
-  }
-  // Exact LRU: the GET path mutates shared state, which is why default
-  // memcached cannot drop the lock here.
-  TouchLruLocked(it);
-  CacheValue& value = it->second.value;
-  // Meta-flag metadata reports the PRE-get state (prior access time,
-  // prior fetched bit), captured before this GET stamps both.
-  out->expire_at = value.expire_at;
-  out->last_used = value.last_used.load(std::memory_order_relaxed);
-  out->fetched = value.fetched.load(std::memory_order_relaxed);
-  value.last_used.store(now, std::memory_order_relaxed);
-  value.fetched.store(true, std::memory_order_relaxed);
-  const std::string_view data = value.data.view();
-  out->data.assign(data.data(), data.size());
-  out->flags = value.flags;
-  out->cas = value.cas;
-  ++stats_.get_hits;
-  return true;
-}
-
 void LockedEngine::GetManyScratch(const std::string_view* keys,
                                   std::size_t count, ScratchGetResult* out,
                                   std::string* scratch) {
@@ -207,6 +180,8 @@ void LockedEngine::GetManyScratch(const std::string_view* keys,
       ++stats_.get_misses;
       continue;
     }
+    // Exact LRU: the GET path mutates shared state, which is why default
+    // memcached cannot drop the lock here.
     TouchLruLocked(it);
     CacheValue& value = it->second.value;
     ScratchGetResult& slot = out[i];
@@ -218,6 +193,8 @@ void LockedEngine::GetManyScratch(const std::string_view* keys,
     slot.flags = value.flags;
     slot.cas = value.cas;
     slot.expire_at = value.expire_at;
+    // Meta-flag metadata reports the PRE-get state (prior access time,
+    // prior fetched bit), captured before this GET stamps both.
     slot.last_used = value.last_used.load(std::memory_order_relaxed);
     slot.fetched = value.fetched.load(std::memory_order_relaxed);
     value.last_used.store(now, std::memory_order_relaxed);

@@ -33,12 +33,12 @@ class LockedEngine final : public CacheEngine {
   explicit LockedEngine(EngineConfig config = {});
   ~LockedEngine() override = default;
 
-  bool Get(const std::string& key, StoredValue* out) override;
-  // One mutex acquisition for the whole batch (the global-lock analogue of
-  // the RP engine's one-read-section-per-shard-group batching), so the
-  // fig5 multi-get contrast compares batching against batching. Keys are
-  // string_views probed via the map's transparent hasher, and hit values
-  // append to *scratch — no per-key or per-hit copies here either.
+  // Every GET, a lone key included, under ONE mutex acquisition for the
+  // whole batch (the global-lock analogue of the RP engine's
+  // one-read-section-per-shard-group batching), so the fig5 multi-get
+  // contrast compares batching against batching. Keys are string_views
+  // probed via the map's transparent hasher, and hit values append to
+  // *scratch — no per-key or per-hit copies here either.
   void GetManyScratch(const std::string_view* keys, std::size_t count,
                       ScratchGetResult* out, std::string* scratch) override;
   // Every store, singletons included, under ONE mutex acquisition for the

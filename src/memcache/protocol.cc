@@ -69,7 +69,9 @@ bool IsValidKey(std::string_view key) {
   if (key.empty() || key.size() > RequestParser::kMaxKeyLength) {
     return false;
   }
-  for (char c : key) {
+  // Bytes compare unsigned: a signed char would read every byte >= 0x80
+  // (all of UTF-8 past ASCII) as negative, that is, as a control char.
+  for (unsigned char c : key) {
     if (c <= 0x20 || c == 0x7F) {  // no whitespace or control chars
       return false;
     }
@@ -662,48 +664,6 @@ void AppendMetaArithResponse(std::string* out, std::string_view key,
   out->append("HD");
   AppendKeyOpaqueFlags(out, key, mf);
   out->append("\r\n");
-}
-
-std::string FormatValue(std::string_view key, const StoredValue& value,
-                        bool with_cas) {
-  std::string out;
-  AppendValueResponse(&out, key, value.data, value.flags, value.cas, with_cas);
-  return out;
-}
-
-std::string FormatEnd() { return std::string(kResponseEnd); }
-std::string FormatStored() { return std::string(kResponseStored); }
-std::string FormatNotStored() { return std::string(kResponseNotStored); }
-std::string FormatExists() { return std::string(kResponseExists); }
-std::string FormatNotFound() { return std::string(kResponseNotFound); }
-std::string FormatDeleted() { return std::string(kResponseDeleted); }
-std::string FormatTouched() { return std::string(kResponseTouched); }
-std::string FormatOk() { return std::string(kResponseOk); }
-
-std::string FormatNumber(std::uint64_t n) {
-  std::string out;
-  AppendNumberResponse(&out, n);
-  return out;
-}
-
-std::string FormatError() { return std::string(kResponseError); }
-
-std::string FormatClientError(std::string_view message) {
-  std::string out;
-  AppendClientError(&out, message);
-  return out;
-}
-
-std::string FormatServerError(std::string_view message) {
-  std::string out;
-  AppendServerError(&out, message);
-  return out;
-}
-
-std::string FormatVersion(std::string_view version) {
-  std::string out;
-  AppendVersionResponse(&out, version);
-  return out;
 }
 
 namespace {

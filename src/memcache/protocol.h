@@ -86,7 +86,9 @@ struct Request {
 };
 
 // Protocol key validity, shared by the classic and meta parsers: non-empty,
-// at most kMaxKeyLength (250) bytes, no whitespace or control characters.
+// at most kMaxKeyLength (250) bytes, no whitespace or control characters
+// (0x00-0x20 and 0x7F). Bytes >= 0x80 are allowed, so UTF-8 keys are
+// valid, as in memcached.
 // Invalid keys answer CLIENT_ERROR at the parse layer so no engine ever
 // sees one.
 bool IsValidKey(std::string_view key);
@@ -172,9 +174,7 @@ void AppendRequestWire(std::string* out, const Request& request,
 //
 // The hot path appends straight into the connection's output buffer: fixed
 // responses are string_view constants (one memcpy, no temporary strings),
-// numbers go through std::to_chars into a stack buffer. The Format*
-// wrappers below remain for call sites that want a standalone string
-// (tests, one-shot tools).
+// numbers go through std::to_chars into a stack buffer.
 
 inline constexpr std::string_view kResponseEnd = "END\r\n";
 inline constexpr std::string_view kResponseStored = "STORED\r\n";
@@ -184,7 +184,6 @@ inline constexpr std::string_view kResponseNotFound = "NOT_FOUND\r\n";
 inline constexpr std::string_view kResponseDeleted = "DELETED\r\n";
 inline constexpr std::string_view kResponseTouched = "TOUCHED\r\n";
 inline constexpr std::string_view kResponseOk = "OK\r\n";
-inline constexpr std::string_view kResponseError = "ERROR\r\n";
 inline constexpr std::string_view kResponseMetaNoop = "MN\r\n";
 
 // Protocol-mandated wording for incr/decr on a non-numeric value.
@@ -232,23 +231,6 @@ void AppendMetaStoreResponse(std::string* out, std::string_view key,
 // NF; non-numeric value → CLIENT_ERROR (protocol wording).
 void AppendMetaArithResponse(std::string* out, std::string_view key,
                              const Request& request, const ArithResult& result);
-
-// Standalone-string conveniences (wrappers over the Append* forms).
-std::string FormatValue(std::string_view key, const StoredValue& value,
-                        bool with_cas);
-std::string FormatEnd();
-std::string FormatStored();
-std::string FormatNotStored();
-std::string FormatExists();
-std::string FormatNotFound();
-std::string FormatDeleted();
-std::string FormatTouched();
-std::string FormatOk();
-std::string FormatNumber(std::uint64_t n);
-std::string FormatError();
-std::string FormatClientError(std::string_view message);
-std::string FormatServerError(std::string_view message);
-std::string FormatVersion(std::string_view version);
 
 }  // namespace rp::memcache
 

@@ -404,39 +404,6 @@ std::size_t RpEngine::ShardIndex(const std::string& key) const {
   return ShardIndexForHash(Hasher{}(key));
 }
 
-bool RpEngine::Get(const std::string& key, StoredValue* out) {
-  const core::Prehashed hash{Hasher{}(key)};
-  Shard& shard = ShardForHash(hash.value);
-  const std::int64_t now = NowSeconds();
-  const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  bool dead = false;
-  // Relativistic lookup; value copied inside the read-side critical
-  // section, so the node (and its slab chunk) may be reclaimed the instant
-  // we return.
-  const bool found = shard.table.With(hash, key, [&](const CacheValue& value) {
-    if (!IsLive(value, flush_at, now)) {
-      dead = true;
-      return;
-    }
-    const std::string_view data = value.data.view();
-    out->data.assign(data.data(), data.size());
-    out->flags = value.flags;
-    out->cas = value.cas;
-    out->expire_at = value.expire_at;
-    // The only writes a GET performs, and they are per-item, not global.
-    StampGet(value, now, &out->last_used, &out->fetched);
-  });
-  if (found && !dead) {
-    shard.get_hits.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (dead) {
-    ReclaimDead(shard, hash, key);
-  }
-  shard.get_misses.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
 void RpEngine::GetManyScratch(const std::string_view* keys, std::size_t count,
                               ScratchGetResult* out, std::string* scratch) {
   // Hash every key exactly once up front (the transparent hasher reads

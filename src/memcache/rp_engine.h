@@ -64,19 +64,17 @@ class RpEngine final : public CacheEngine {
   explicit RpEngine(EngineConfig config = {});
   ~RpEngine() override;
 
-  bool Get(const std::string& key, StoredValue* out) override;
-  // Batched multi-get: keys (string_views over the parsed request — the
-  // whole lookup path is transparent, nothing is copied per key) are
-  // hashed once, grouped by shard, and each shard's group executes inside
-  // a single read-side critical section (one epoch enter/exit per group,
-  // not per key). Hit values append to *scratch (results carry offsets —
-  // realloc-safe) and per-item metadata (remaining TTL, prior last-access,
-  // fetched-before) is captured for the meta t/l/h flags. Expired items
-  // are reclaimed after every section has closed — reclamation takes
-  // writer locks, which must never happen inside a read section (a resize
-  // holding the stripes waits for readers). Every key answers from the
-  // table inside its group's read section — one epoch enter/exit per
-  // group, which tests pin.
+  // Every GET, a lone key included: keys (string_views over the parsed
+  // request — the whole lookup path is transparent, nothing is copied per
+  // key) are hashed once, grouped by shard, and each shard's group
+  // executes inside a single read-side critical section (one epoch
+  // enter/exit per group, not per key), which tests pin. Hit values append
+  // to *scratch (results carry offsets — realloc-safe) and per-item
+  // metadata (remaining TTL, prior last-access, fetched-before) is
+  // captured for the meta t/l/h flags. Expired items are reclaimed after
+  // every section has closed — reclamation takes writer locks, which must
+  // never happen inside a read section (a resize holding the stripes waits
+  // for readers).
   void GetManyScratch(const std::string_view* keys, std::size_t count,
                       ScratchGetResult* out, std::string* scratch) override;
   // Every store, singletons included: ops are hashed once up front and

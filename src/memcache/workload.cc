@@ -241,11 +241,10 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
   std::vector<std::string> store_keys(sets_per_request);
   std::vector<StoreOp> store_ops(sets_per_request);
   std::vector<StoreResult> store_results(sets_per_request);
-  StoredValue out;
 
   while (!stop.load(std::memory_order_relaxed)) {
     const bool is_get = rng.NextDouble() < config.get_ratio;
-    if (is_get && keys_per_get > 1) {
+    if (is_get) {
       for (std::size_t k = 0; k < keys_per_get; ++k) {
         batch_keys[k] = WorkloadKey(zipf.Next(rng));
         batch_views[k] = batch_keys[k];
@@ -260,14 +259,6 @@ void RunDirectClient(CacheEngine& engine, const WorkloadConfig& config,
         } else {
           ++totals.misses;
         }
-      }
-    } else if (is_get) {
-      const std::string key = WorkloadKey(zipf.Next(rng));
-      ++totals.gets;
-      if (engine.Get(key, &out)) {
-        ++totals.hits;
-      } else {
-        ++totals.misses;
       }
     } else if (sets_per_request > 1) {
       for (std::size_t s = 0; s < sets_per_request; ++s) {

@@ -32,8 +32,8 @@ struct WorkloadConfig {
   // the paper's mc-benchmark runs are pure GET and pure SET).
   double get_ratio = 1.0;
   // Keys per GET request (memcached "get k1 k2 ..." pipelining). 1 = the
-  // classic single-key workload; larger values exercise the batched
-  // multi-get path (one read section per shard group in the RP engine).
+  // classic single-key workload; larger values batch more keys into the
+  // one GET path (one read section per shard group in the RP engine).
   // Each key is drawn independently from the zipf distribution. GET stats
   // (gets/hits/misses) count keys; total_requests counts round trips.
   std::size_t keys_per_get = 1;

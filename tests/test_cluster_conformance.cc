@@ -320,9 +320,16 @@ TEST(ClusterConformance, MetaTranscriptsMatchDirect) {
       // are suppressed.
       "ms meta-q1 3 q\r\nabc\r\nmg meta-q1 v q\r\nmg meta-nope v q\r\n"
       "md meta-q1 q\r\nmd meta-nope q\r\nmn\r\n",
+      // A UTF-8 key: memcached bans only control bytes and whitespace.
+      "set caf\xc3\xa9 0 0 3\r\nabc\r\nget caf\xc3\xa9\r\n",
   };
   for (const std::string& transcript : transcripts) {
     d.ExpectSame(transcript);
+  }
+  // Both sides stored the UTF-8 key rather than refusing it as a bad key.
+  for (TestClient* client : {&d.direct(), &d.proxy()}) {
+    EXPECT_EQ(client->RoundTrip("get caf\xc3\xa9\r\n"),
+              "VALUE caf\xc3\xa9 0 3\r\nabc\r\nEND\r\n");
   }
 }
 

@@ -13,8 +13,12 @@
 // cas audit (memcached 1.6 semantics): `cas` on an expired or flushed key
 // answers NOT_FOUND — the item counts as absent even while physically
 // present awaiting lazy reclamation; both engines assert that explicitly.
+//
+// ProtocolSplits at the end sends these streams as wire bytes and checks
+// that each engine answers them alike however the bytes are split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -29,6 +33,7 @@
 #include "src/memcache/protocol.h"
 #include "src/memcache/rp_engine.h"
 #include "src/memcache/slab.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -422,17 +427,11 @@ TEST(ConformanceMatrix, SingletonAndPipelinedStoresAgreeOnEveryItemState) {
   }
 }
 
-// The RP engine's StoreMany combines a SET into the next SET of the same
-// key in its batch, with no switch to turn that off. So each burst below
-// repeats stores to one initially absent key and must leave exactly the
-// state its ops leave when run one at a time: on the RP engine (per-op
-// StoreMany calls never combine), and on the locked engine (which never
-// combines at all). Every op but the first SET depends on the key being
-// present, so folding the first SET into anything but a later SET changes
-// its answer. On the capped engine every new key evicts one filler, which
-// pins the evictions and the byte gauge to the per-op path too.
-void ExpectCombinedBurstsMatchPerOpExecution(const EngineConfig& config,
-                                             int fillers) {
+// The SET-combining bursts below: burst b stores to one initially absent
+// key, "burst-<b>". One request list for every engine: the cas token never
+// matches (the key's cas is whatever its SET drew), so cas answers EXISTS
+// only while the burst's first SET has landed, and NOT_FOUND otherwise.
+std::vector<std::vector<Request>> CombinedSetBursts() {
   struct BurstOp {
     Op op;
     std::size_t size;  // payload bytes; 0 for delete
@@ -447,24 +446,38 @@ void ExpectCombinedBurstsMatchPerOpExecution(const EngineConfig& config,
       {{Op::kSet, 3}, {Op::kDelete, 0}, {Op::kSet, 7}},
       {{Op::kSet, 3}, {Op::kAdd, 4}, {Op::kSet, 300}},
   };
-  // One request list for every engine: the cas token never matches (the
-  // key's cas is whatever its SET drew), so cas answers EXISTS only while
-  // the burst's first SET has landed, and NOT_FOUND otherwise.
   std::vector<std::vector<Request>> bursts;
-  std::vector<std::string> keys;
   for (std::size_t b = 0; b < kBursts.size(); ++b) {
-    keys.push_back("burst-" + std::to_string(b));
     std::vector<Request> burst;
     for (std::size_t i = 0; i < kBursts[b].size(); ++i) {
       Request request;
       request.op = kBursts[b][i].op;
-      request.keys = {keys.back()};
+      request.keys = {"burst-" + std::to_string(b)};
       request.flags = static_cast<std::uint32_t>(i + 1);
       request.data.assign(kBursts[b][i].size, static_cast<char>('a' + i));
       request.cas = 999999;
       burst.push_back(std::move(request));
     }
     bursts.push_back(std::move(burst));
+  }
+  return bursts;
+}
+
+// The RP engine's StoreMany combines a SET into the next SET of the same
+// key in its batch, with no switch to turn that off. So each burst below
+// repeats stores to one initially absent key and must leave exactly the
+// state its ops leave when run one at a time: on the RP engine (per-op
+// StoreMany calls never combine), and on the locked engine (which never
+// combines at all). Every op but the first SET depends on the key being
+// present, so folding the first SET into anything but a later SET changes
+// its answer. On the capped engine every new key evicts one filler, which
+// pins the evictions and the byte gauge to the per-op path too.
+void ExpectCombinedBurstsMatchPerOpExecution(const EngineConfig& config,
+                                             int fillers) {
+  const std::vector<std::vector<Request>> bursts = CombinedSetBursts();
+  std::vector<std::string> keys;
+  for (const std::vector<Request>& burst : bursts) {
+    keys.push_back(burst[0].keys[0]);
   }
 
   RpEngine rp_piped(config);
@@ -646,6 +659,29 @@ TEST(ConformanceMatrix, MetaOpsAgreeOnEveryItemState) {
   }
 }
 
+// Meta stores and their classic spellings, each pair run on fresh engines
+// by MetaAndClassicStoresLeaveIdenticalState below.
+struct MetaClassicPair {
+  const char* key;
+  const char* prior;  // nullptr = key starts absent
+  const char* meta_wire;
+  const char* classic_wire;
+};
+const MetaClassicPair kMetaClassicPairs[] = {
+    {"k-set", nullptr, "ms k-set 3 F7 T0\r\nabc\r\n", "set k-set 7 0 3\r\nabc\r\n"},
+    {"k-over", "old", "ms k-over 3 q\r\nnew\r\n", "set k-over 0 0 3 noreply\r\nnew\r\n"},
+    {"k-add", nullptr, "ms k-add 2 ME\r\nhi\r\n", "add k-add 0 0 2\r\nhi\r\n"},
+    {"k-app", "base", "ms k-app 1 MA\r\nZ\r\n", "append k-app 0 0 1\r\nZ\r\n"},
+    {"k-prep", "base", "ms k-prep 1 MP\r\nA\r\n", "prepend k-prep 0 0 1\r\nA\r\n"},
+    {"k-repl", "old", "ms k-repl 3 MR\r\nnew\r\n", "replace k-repl 0 0 3\r\nnew\r\n"},
+    {"k-del", "gone", "md k-del\r\n", "delete k-del\r\n"},
+    {"k-incr", "10", "ma k-incr D5\r\n", "incr k-incr 5\r\n"},
+    {"k-decr", "10", "ma k-decr MD D3\r\n", "decr k-decr 3\r\n"},
+    // A UTF-8 key: memcached bans only control bytes and whitespace.
+    {"caf\xc3\xa9", nullptr, "ms caf\xc3\xa9 3 F7\r\nabc\r\n",
+     "set caf\xc3\xa9 7 0 3\r\nabc\r\n"},
+};
+
 // Meta stores and their classic spellings must leave byte-identical cache
 // state: a client mixing `ms`/`md`/`ma` with `set`/`delete`/`incr` (or two
 // clients speaking different dialects at the same server) may never observe
@@ -660,28 +696,10 @@ TEST(ConformanceMatrix, MetaAndClassicStoresLeaveIdenticalState) {
   RpEngine rp_meta(rp_config);
   RpEngine rp_classic(rp_config);
 
-  struct Pair {
-    const char* key;
-    const char* prior;  // nullptr = key starts absent
-    const char* meta_wire;
-    const char* classic_wire;
-  };
-  const Pair kPairs[] = {
-      {"k-set", nullptr, "ms k-set 3 F7 T0\r\nabc\r\n", "set k-set 7 0 3\r\nabc\r\n"},
-      {"k-over", "old", "ms k-over 3 q\r\nnew\r\n", "set k-over 0 0 3 noreply\r\nnew\r\n"},
-      {"k-add", nullptr, "ms k-add 2 ME\r\nhi\r\n", "add k-add 0 0 2\r\nhi\r\n"},
-      {"k-app", "base", "ms k-app 1 MA\r\nZ\r\n", "append k-app 0 0 1\r\nZ\r\n"},
-      {"k-prep", "base", "ms k-prep 1 MP\r\nA\r\n", "prepend k-prep 0 0 1\r\nA\r\n"},
-      {"k-repl", "old", "ms k-repl 3 MR\r\nnew\r\n", "replace k-repl 0 0 3\r\nnew\r\n"},
-      {"k-del", "gone", "md k-del\r\n", "delete k-del\r\n"},
-      {"k-incr", "10", "ma k-incr D5\r\n", "incr k-incr 5\r\n"},
-      {"k-decr", "10", "ma k-decr MD D3\r\n", "decr k-decr 3\r\n"},
-  };
-
   CacheEngine* metas[] = {&locked_meta, &rp_meta};
   CacheEngine* classics[] = {&locked_classic, &rp_classic};
   CacheEngine* all[] = {&locked_meta, &locked_classic, &rp_meta, &rp_classic};
-  for (const Pair& pair : kPairs) {
+  for (const MetaClassicPair& pair : kMetaClassicPairs) {
     if (pair.prior != nullptr) {
       for (CacheEngine* engine : all) {
         ASSERT_EQ(engine->Set(pair.key, pair.prior, 0, 0),
@@ -702,6 +720,144 @@ TEST(ConformanceMatrix, MetaAndClassicStoresLeaveIdenticalState) {
       EXPECT_EQ(Execute(*engine, follow_up), expected)
           << pair.key << " diverged";
     }
+  }
+}
+
+
+// ---- Split invariance -------------------------------------------------------
+//
+// The request streams above, sent as a client sends them, must execute the
+// same however recv() splits the bytes: fed through RequestParser and
+// ExecuteRequest whole, one byte at a time, and at seeded random split
+// points, each engine's transcript is byte-identical.
+
+// Every classic and meta matrix cell (cas tokens fixed at 42, so a live
+// cell's cas answers EXISTS) and each combined SET burst, followed by a
+// get of its key; then each meta/classic pair, meta spelling first, each
+// from the pair's prior state.
+std::string ConformanceStream() {
+  std::string stream;
+  const auto get = [&](const std::string& key) {
+    stream += "get " + key + "\r\n";
+  };
+  for (const OpSpec& spec : kOps) {
+    for (const char* state : kStates) {
+      const std::string key = CellKey(state, spec.name);
+      AppendRequestWire(&stream, BuildRequest(spec, key, 42),
+                        /*strip_quiet=*/false);
+      get(key);
+    }
+  }
+  for (const MetaOpSpec& spec : kMetaOps) {
+    for (const char* state : kStates) {
+      const std::string key = CellKey(state, spec.name);
+      stream += Substitute(Substitute(spec.wire, "%KEY%", key), "%CAS%", "42");
+      get(key);
+    }
+  }
+  for (const std::vector<Request>& burst : CombinedSetBursts()) {
+    for (const Request& request : burst) {
+      AppendRequestWire(&stream, request, /*strip_quiet=*/false);
+    }
+    get(burst[0].keys[0]);
+  }
+  for (const MetaClassicPair& pair : kMetaClassicPairs) {
+    const std::string key = pair.key;
+    for (const char* wire : {pair.meta_wire, pair.classic_wire}) {
+      if (pair.prior == nullptr) {
+        stream += "delete " + key + "\r\n";
+      } else {
+        const std::string prior = pair.prior;
+        stream += "set " + key + " 0 0 " + std::to_string(prior.size()) +
+                  "\r\n" + prior + "\r\n";
+      }
+      stream += wire;
+      get(key);
+    }
+  }
+  return stream;
+}
+
+// What `engine` answers to `stream` fed in pieces that end at `cuts`
+// (ascending offsets), executing every request as soon as it parses.
+std::string ExecuteSplit(CacheEngine& engine, std::string_view stream,
+                         const std::vector<std::size_t>& cuts) {
+  RequestParser parser;
+  std::string out;
+  std::size_t fed = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t end = i < cuts.size() ? cuts[i] : stream.size();
+    parser.Feed(stream.substr(fed, end - fed));
+    fed = end;
+    Request request;
+    for (ParseStatus status; (status = parser.Next(&request)) !=
+                             ParseStatus::kNeedMore;) {
+      if (status == ParseStatus::kOk) {
+        bool quit = false;
+        ExecuteRequest(engine, request, &out, &quit);
+      } else {
+        AppendClientError(&out, parser.error_message());
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ProtocolSplits, ConformanceStreamsExecuteAlikeAtEverySplit) {
+  const std::string stream = ConformanceStream();
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> ways = {
+      {"whole", {}}, {"one byte at a time", {}}};
+  for (std::size_t k = 1; k < stream.size(); ++k) {
+    ways[1].second.push_back(k);
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    rp::Xoshiro256 rng(seed);
+    std::vector<std::size_t> cuts;
+    for (std::size_t i = 0; i < stream.size() / 16; ++i) {
+      cuts.push_back(1 + rng.NextBounded(stream.size() - 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    ways.emplace_back("random cuts, seed " + std::to_string(seed), cuts);
+  }
+
+  // One identically prepared engine of each kind per way (the stream
+  // mutates them), sharing one wait for the flush deadline.
+  EngineConfig config;
+  config.shards = 4;
+  std::vector<std::unique_ptr<CacheEngine>> locked;
+  std::vector<std::unique_ptr<CacheEngine>> rp;
+  std::int64_t deadline = 0;
+  for (std::size_t w = 0; w < ways.size(); ++w) {
+    locked.push_back(std::make_unique<LockedEngine>(EngineConfig{}));
+    rp.push_back(std::make_unique<RpEngine>(config));
+    for (CacheEngine* engine : {locked.back().get(), rp.back().get()}) {
+      std::int64_t armed = 0;
+      Prepare(*engine, &armed);
+      PrepareMeta(*engine, &armed);
+      deadline = std::max(deadline, armed);
+    }
+  }
+  while (NowSeconds() < deadline + 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (std::size_t w = 0; w < ways.size(); ++w) {
+    for (CacheEngine* engine : {locked[w].get(), rp[w].get()}) {
+      FinishPrepare(*engine);
+      FinishPrepareMeta(*engine);
+    }
+  }
+
+  const std::string locked_whole = ExecuteSplit(*locked[0], stream, {});
+  const std::string rp_whole = ExecuteSplit(*rp[0], stream, {});
+  EXPECT_EQ(locked_whole.find("CLIENT_ERROR"), std::string::npos)
+      << locked_whole;
+  EXPECT_EQ(NormalizeCas(locked_whole), NormalizeCas(rp_whole));
+  for (std::size_t w = 1; w < ways.size(); ++w) {
+    EXPECT_EQ(ExecuteSplit(*locked[w], stream, ways[w].second), locked_whole)
+        << "locked engine, " << ways[w].first;
+    EXPECT_EQ(ExecuteSplit(*rp[w], stream, ways[w].second), rp_whole)
+        << "rp engine, " << ways[w].first;
   }
 }
 

@@ -1,6 +1,9 @@
-// Batched multi-get (GetMany) tests:
-//   * conformance: GetMany answers exactly like a per-key Get loop on both
-//     engines (order preserved, duplicates answered, expired keys miss);
+// GET-path tests. GetManyScratch is each engine's one GET implementation;
+// GetMany and Get are CacheEngine's owning-copy defaults over it (k keys,
+// and one key: the batch of one every singleton wire get now is).
+//   * conformance: a k-key GetMany answers exactly like k one-key Gets on
+//     both engines (order preserved, duplicates answered, expired keys
+//     miss, same stats);
 //   * the one-epoch invariant: a multi-get opens exactly one read-side
 //     critical section per shard group (asserted via the Epoch read-section
 //     counter hook);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/memcache/protocol.h"
+#include "src/util/rng.h"
 
 namespace rp::memcache {
 namespace {
@@ -218,6 +219,16 @@ TEST(Protocol, RejectsControlCharactersInKey) {
   parser.Feed(std::string("get a\x01b\r\n"));
   Request request;
   EXPECT_EQ(parser.Next(&request), ParseStatus::kError);
+
+  // memcached bans only control bytes and whitespace: 0x00-0x20 and 0x7F.
+  for (const char c : {'\x00', '\x01', '\t', '\x1f', ' ', '\x7f'}) {
+    EXPECT_FALSE(IsValidKey(std::string("a") + c + "b")) << int(c);
+  }
+  // Bytes >= 0x80 are not control bytes, so a UTF-8 key is valid.
+  EXPECT_TRUE(IsValidKey("caf\xc3\xa9"));
+  EXPECT_TRUE(IsValidKey("\x80\xff"));
+  EXPECT_EQ(MustParse("get caf\xc3\xa9\r\n").keys,
+            std::vector<std::string>{"caf\xc3\xa9"});
 }
 
 TEST(Protocol, RejectsBadDataTerminator) {
@@ -228,30 +239,31 @@ TEST(Protocol, RejectsBadDataTerminator) {
 }
 
 TEST(Protocol, FormatsValueResponse) {
-  StoredValue value;
-  value.data = "world";
-  value.flags = 9;
-  value.cas = 77;
-  EXPECT_EQ(FormatValue("hello", value, false),
-            "VALUE hello 9 5\r\nworld\r\n");
-  EXPECT_EQ(FormatValue("hello", value, true),
-            "VALUE hello 9 5 77\r\nworld\r\n");
+  std::string out;
+  AppendValueResponse(&out, "hello", "world", 9, 77, /*with_cas=*/false);
+  EXPECT_EQ(out, "VALUE hello 9 5\r\nworld\r\n");
+  out.clear();
+  AppendValueResponse(&out, "hello", "world", 9, 77, /*with_cas=*/true);
+  EXPECT_EQ(out, "VALUE hello 9 5 77\r\nworld\r\n");
 }
 
 TEST(Protocol, FormatsStatusLines) {
-  EXPECT_EQ(FormatEnd(), "END\r\n");
-  EXPECT_EQ(FormatStored(), "STORED\r\n");
-  EXPECT_EQ(FormatNotStored(), "NOT_STORED\r\n");
-  EXPECT_EQ(FormatExists(), "EXISTS\r\n");
-  EXPECT_EQ(FormatNotFound(), "NOT_FOUND\r\n");
-  EXPECT_EQ(FormatDeleted(), "DELETED\r\n");
-  EXPECT_EQ(FormatTouched(), "TOUCHED\r\n");
-  EXPECT_EQ(FormatOk(), "OK\r\n");
-  EXPECT_EQ(FormatNumber(42), "42\r\n");
-  EXPECT_EQ(FormatError(), "ERROR\r\n");
-  EXPECT_EQ(FormatClientError("oops"), "CLIENT_ERROR oops\r\n");
-  EXPECT_EQ(FormatServerError("bad"), "SERVER_ERROR bad\r\n");
-  EXPECT_EQ(FormatVersion("1.0"), "VERSION 1.0\r\n");
+  EXPECT_EQ(kResponseEnd, "END\r\n");
+  EXPECT_EQ(kResponseStored, "STORED\r\n");
+  EXPECT_EQ(kResponseNotStored, "NOT_STORED\r\n");
+  EXPECT_EQ(kResponseExists, "EXISTS\r\n");
+  EXPECT_EQ(kResponseNotFound, "NOT_FOUND\r\n");
+  EXPECT_EQ(kResponseDeleted, "DELETED\r\n");
+  EXPECT_EQ(kResponseTouched, "TOUCHED\r\n");
+  EXPECT_EQ(kResponseOk, "OK\r\n");
+  std::string out;
+  AppendNumberResponse(&out, 42);
+  AppendClientError(&out, "oops");
+  AppendServerError(&out, "bad");
+  AppendVersionResponse(&out, "1.0");
+  EXPECT_EQ(out,
+            "42\r\nCLIENT_ERROR oops\r\nSERVER_ERROR bad\r\n"
+            "VERSION 1.0\r\n");
 }
 
 TEST(Protocol, ExptimeResolution) {
@@ -566,6 +578,163 @@ TEST(ProtocolSplits, RetrievalLinesHoldTheirKeyBound) {
   ASSERT_EQ(at_limit.size(), RequestParser::kMaxLineLength);
   MustParseError(at_limit + "\r\n", "bad touch exptime");
   MustParseError(at_limit + "1\r\n", "command line too long");
+}
+
+
+// ---- Re-serializer round trip ---------------------------------------------
+//
+// The cluster proxy forwards what AppendRequestWire writes, so a parsed
+// request re-serialized and parsed again must come back unchanged:
+// parse(AppendRequestWire(parse(x))) == parse(x), for whatever of a hostile
+// stream parses at all.
+
+// Every field of a request on one line, so a mismatch prints what differs.
+std::string Describe(const Request& r) {
+  std::string out = "op=" + std::to_string(static_cast<int>(r.op)) + " keys=";
+  for (const std::string& key : r.keys) {
+    out += "[" + key + "]";
+  }
+  const MetaFlags& m = r.meta;
+  out += " data=[" + r.data + "] flags=" + std::to_string(r.flags) +
+         " exptime=" + std::to_string(r.exptime) +
+         " delta=" + std::to_string(r.delta) + " cas=" + std::to_string(r.cas) +
+         " noreply=" + std::to_string(r.noreply) + " meta=";
+  for (const bool bit : {m.want_value, m.want_flags, m.want_ttl,
+                         m.want_last_access, m.want_hit, m.want_cas,
+                         m.want_key, m.quiet, m.has_opaque, m.has_vivify,
+                         m.has_exptime, m.has_cas_compare, m.has_init}) {
+    out += bit ? '1' : '0';
+  }
+  out += " opaque=[" + m.opaque + "] vivify_ttl=" +
+         std::to_string(m.vivify_ttl) +
+         " init=" + std::to_string(m.init_value) +
+         " mode=" + std::to_string(static_cast<int>(m.mode));
+  return out;
+}
+
+// Every command the conformance matrix, meta and cluster conformance suites
+// send, with their keys folded to a few shapes (a UTF-8 one included).
+const char* const kCorpus[] = {
+    "get k\r\n",
+    "gets k\r\n",
+    "get mix-missing mix-5 caf\xc3\xa9\r\n",
+    "set k 1 0 3\r\n200\r\n",
+    "set k 0 -1 3\r\n100\r\n",
+    "set k 0 0 3 noreply\r\nnew\r\n",
+    "add k 0 0 3\r\n201\r\n",
+    "replace k 0 0 3\r\n202\r\n",
+    "append k 0 0 1\r\n9\r\n",
+    "prepend k 0 0 1\r\n1\r\n",
+    "cas k 0 0 3 42\r\n203\r\n",
+    "delete k\r\n",
+    "delete k noreply\r\n",
+    "incr k 5\r\n",
+    "decr k 7\r\n",
+    "touch k 500\r\n",
+    "flush_all 1\r\n",
+    "flush_all noreply\r\n",
+    "version\r\n",
+    "stats\r\n",
+    "quit\r\n",
+    "mg k v f t k O7\r\n",
+    "mg k v q\r\n",
+    "mg k h k\r\n",
+    "mg k f c q O12\r\n",
+    "mg viv v N300\r\n",
+    "mg k v f t l h c k q Oabc N30 T60\r\n",
+    "ms k 3 T0 F9\r\n201\r\n",
+    "ms k 3 q Oab\r\n202\r\n",
+    "ms k 3 ME\r\n203\r\n",
+    "ms k 3 C42\r\n204\r\n",
+    "ms k 5 F7 T100\r\nhello\r\n",
+    "ms k 1 MA\r\nZ\r\n",
+    "ms k 1 MP\r\nA\r\n",
+    "ms k 3 MR\r\nnew\r\n",
+    "ms caf\xc3\xa9 3 k\r\nabc\r\n",
+    "md k\r\n",
+    "md k q Oz\r\n",
+    "ma k v\r\n",
+    "ma k q Ok\r\n",
+    "ma k D5\r\n",
+    "ma k MD D3\r\n",
+    "ma ctr v N300 J100 D5\r\n",
+    "mn\r\n",
+};
+
+// One seeded hostile variant of `command`: truncated, a length or number
+// made bad, noreply or q dropped in at a wrong place, the line made
+// oversized, or a byte replaced (control and high bytes included).
+std::string Mutate(std::string command, rp::Xoshiro256& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.NextBounded(n));
+  };
+  const std::size_t line_end = command.find("\r\n");
+  switch (pick(5)) {
+    case 0:  // truncated anywhere, terminator included
+      command.resize(pick(command.size()));
+      break;
+    case 1: {  // a bad number: the first digit run rewritten
+      const char* const kBad[] = {"-1", "99999999999999999999", "x", "",
+                                  "0", "1048577", "4294967296"};
+      const std::size_t at = command.find_first_of("0123456789");
+      if (at < line_end) {
+        const std::size_t end = command.find_first_not_of("0123456789", at);
+        command.replace(at, end - at, kBad[pick(std::size(kBad))]);
+      }
+      break;
+    }
+    case 2: {  // noreply or q inserted before a random space of the line
+      const std::size_t at = command.find(' ', pick(line_end));
+      command.insert(at < line_end ? at : line_end,
+                     pick(2) == 0 ? " noreply" : " q");
+      break;
+    }
+    case 3:  // an oversized line: past kMaxKeyLength, or past 2048 bytes
+      command.insert(pick(line_end + 1),
+                     std::string(pick(2) == 0 ? 251 : 2100, 'x'));
+      break;
+    default:
+      command[pick(command.size())] = static_cast<char>(rng.NextBounded(256));
+      break;
+  }
+  return command;
+}
+
+TEST(ProtocolRoundTrip, ReserializedRequestsParseUnchanged) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    rp::Xoshiro256 rng(seed);
+    std::string stream;
+    for (const char* command : kCorpus) {
+      stream += command;
+    }
+    for (int i = 0; i < 400; ++i) {
+      stream += Mutate(kCorpus[rng.NextBounded(std::size(kCorpus))], rng);
+    }
+
+    RequestParser parser;
+    parser.Feed(stream);
+    Request request;
+    std::size_t parsed = 0;
+    for (ParseStatus status; (status = parser.Next(&request)) !=
+                             ParseStatus::kNeedMore;) {
+      if (status != ParseStatus::kOk) {
+        continue;
+      }
+      ++parsed;
+      std::string wire;
+      AppendRequestWire(&wire, request, /*strip_quiet=*/false);
+      RequestParser again;
+      again.Feed(wire);
+      Request reparsed;
+      ASSERT_EQ(again.Next(&reparsed), ParseStatus::kOk)
+          << "seed " << seed << ": " << wire << again.error_message();
+      EXPECT_EQ(Describe(reparsed), Describe(request))
+          << "seed " << seed << ": " << wire;
+      EXPECT_EQ(again.buffered_bytes(), 0u) << "seed " << seed << ": " << wire;
+    }
+    // Every unmutated command parses, and so do some of the variants.
+    EXPECT_GT(parsed, std::size(kCorpus)) << "seed " << seed;
+  }
 }
 
 }  // namespace
