@@ -15,8 +15,15 @@
 // present awaiting lazy reclamation; both engines assert that explicitly.
 //
 // ProtocolSplits at the end sends these streams as wire bytes and checks
-// that each engine answers them alike however the bytes are split.
+// that each engine answers them alike however the bytes are split, fed
+// straight to the parser and sent through a cluster proxy's socket.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -27,6 +34,7 @@
 #include <vector>
 
 #include "src/core/hash.h"
+#include "src/memcache/cluster/local_cluster.h"
 #include "src/memcache/connection.h"
 #include "src/memcache/engine.h"
 #include "src/memcache/locked_engine.h"
@@ -803,8 +811,10 @@ std::string ExecuteSplit(CacheEngine& engine, std::string_view stream,
   return out;
 }
 
-TEST(ProtocolSplits, ConformanceStreamsExecuteAlikeAtEverySplit) {
-  const std::string stream = ConformanceStream();
+// The ways to split `stream`: whole, one byte at a time, and at three
+// seeded sets of random cuts, each with its name.
+std::vector<std::pair<std::string, std::vector<std::size_t>>> SplitWays(
+    const std::string& stream) {
   std::vector<std::pair<std::string, std::vector<std::size_t>>> ways = {
       {"whole", {}}, {"one byte at a time", {}}};
   for (std::size_t k = 1; k < stream.size(); ++k) {
@@ -820,6 +830,12 @@ TEST(ProtocolSplits, ConformanceStreamsExecuteAlikeAtEverySplit) {
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
     ways.emplace_back("random cuts, seed " + std::to_string(seed), cuts);
   }
+  return ways;
+}
+
+TEST(ProtocolSplits, ConformanceStreamsExecuteAlikeAtEverySplit) {
+  const std::string stream = ConformanceStream();
+  const auto ways = SplitWays(stream);
 
   // One identically prepared engine of each kind per way (the stream
   // mutates them), sharing one wait for the flush deadline.
@@ -858,6 +874,105 @@ TEST(ProtocolSplits, ConformanceStreamsExecuteAlikeAtEverySplit) {
         << "locked engine, " << ways[w].first;
     EXPECT_EQ(ExecuteSplit(*rp[w], stream, ways[w].second), rp_whole)
         << "rp engine, " << ways[w].first;
+  }
+}
+
+// What a client gets back from the server at `port` for `stream`, sent in
+// pieces that end at `cuts` (one send() each, Nagle off), followed by an
+// `mn` barrier whose answer is stripped.
+std::string SendSplit(std::uint16_t port, std::string_view stream,
+                      const std::vector<std::size_t>& cuts) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const auto send_all = [fd](std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n <= 0) {
+        ADD_FAILURE() << "send failed";
+        return;
+      }
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+  };
+  std::size_t fed = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t end = i < cuts.size() ? cuts[i] : stream.size();
+    send_all(stream.substr(fed, end - fed));
+    fed = end;
+  }
+  send_all("mn\r\n");
+  std::string transcript;
+  char buf[16 * 1024];
+  while (!transcript.ends_with(kResponseMetaNoop)) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      ADD_FAILURE() << "connection ended before the barrier";
+      break;
+    }
+    transcript.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  if (transcript.ends_with(kResponseMetaNoop)) {
+    transcript.resize(transcript.size() - kResponseMetaNoop.size());
+  }
+  return transcript;
+}
+
+// The same stream through a cluster proxy's socket. Each way gets its own
+// 3-backend LocalCluster whose engines are prepared exactly as the direct
+// engine is, and must answer byte-identically to it (cas normalized). The
+// stream is one deep pipeline whose requests land on every backend, so
+// this also pins the proxy's in-order release of responses.
+TEST(ProtocolSplits, ProxySocketTranscriptsMatchDirectAtEverySplit) {
+  const std::string stream = ConformanceStream();
+  const auto ways = SplitWays(stream);
+
+  EngineConfig config;
+  config.shards = 4;
+  RpEngine direct(config);
+  std::vector<std::unique_ptr<rp::memcache::cluster::LocalCluster>> clusters;
+  std::vector<CacheEngine*> engines = {&direct};
+  for (std::size_t w = 0; w < ways.size(); ++w) {
+    rp::memcache::cluster::LocalClusterOptions options;
+    options.backends = 3;
+    options.engine = "rp";
+    options.engine_config = config;
+    clusters.push_back(
+        std::make_unique<rp::memcache::cluster::LocalCluster>(options));
+    ASSERT_TRUE(clusters.back()->Start()) << clusters.back()->error();
+    for (std::size_t b = 0; b < clusters.back()->backend_count(); ++b) {
+      engines.push_back(&clusters.back()->backend_engine(b));
+    }
+  }
+  std::int64_t deadline = 0;
+  for (CacheEngine* engine : engines) {
+    std::int64_t armed = 0;
+    Prepare(*engine, &armed);
+    PrepareMeta(*engine, &armed);
+    deadline = std::max(deadline, armed);
+  }
+  while (NowSeconds() < deadline + 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (CacheEngine* engine : engines) {
+    FinishPrepare(*engine);
+    FinishPrepareMeta(*engine);
+  }
+
+  const std::string expected = NormalizeCas(ExecuteSplit(direct, stream, {}));
+  for (std::size_t w = 0; w < ways.size(); ++w) {
+    EXPECT_EQ(NormalizeCas(SendSplit(clusters[w]->proxy_port(), stream,
+                                     ways[w].second)),
+              expected)
+        << "proxy socket, " << ways[w].first;
   }
 }
 
