@@ -1,21 +1,16 @@
 #include "src/memcache/cluster/proxy.h"
 
+#include <algorithm>
 #include <charconv>
 #include <utility>
+
+#include "src/memcache/cluster/wire.h"
 
 namespace rp::memcache::cluster {
 
 namespace {
 
-// Must match the direct engine path (ExecuteRequest in connection.cc) so
-// proxy and direct transcripts stay byte-identical.
-constexpr std::string_view kVersionString = "rp-memcache 1.0";
-
 constexpr std::string_view kNoBackendsMessage = "cluster has no backends";
-
-std::string_view FrameView(const std::string& raw, const ResponseFrame& f) {
-  return std::string_view(raw).substr(f.offset, f.size);
-}
 
 void AppendBackendErrorLine(std::string* out, std::string_view node) {
   out->append("SERVER_ERROR cluster backend ");
@@ -99,6 +94,303 @@ std::string_view TakeValueBlock(std::string_view frame, std::size_t* pos,
 
 }  // namespace
 
+// One client-level dispatch — a request, a store burst or an mg run — and
+// its sub-requests ("parts") in flight. Each part's response lands in
+// `raw`; once every part is answered or failed, Assemble writes the
+// client's answer. A parked call answers into its connection slot and
+// frees itself; if the connection went away first, it only waits out its
+// parts and frees itself.
+class ClusterProxy::Call final : public ResponseSink, public ParkedRequest {
+ public:
+  enum class Kind {
+    kForward,   // each request is one part to its key's owner
+    kGet,       // one get: one part per owner of its keys
+    kFlushAll,  // one flush_all: one part per member
+  };
+
+  explicit Call(Kind call_kind) : kind(call_kind) {}
+  // The kind of call that answers one request.
+  static Kind KindOf(Op op) {
+    switch (op) {
+      case Op::kGet:
+      case Op::kGets:
+        return Kind::kGet;
+      case Op::kFlushAll:
+        return Kind::kFlushAll;
+      default:
+        return Kind::kForward;
+    }
+  }
+
+  void Deliver(std::uint32_t index, const std::string_view* response) override {
+    Part& part = parts[index];
+    if (response != nullptr) {
+      part.ok = true;
+      part.offset = raw.size();
+      part.size = response->size();
+      raw.append(*response);
+    }
+    if (--outstanding != 0 || !parked) {
+      return;  // a synchronous caller sees outstanding reach zero itself
+    }
+    if (conn != nullptr) {
+      Assemble(&slot->bytes);
+      conn->Release(slot);
+      context->Wake(*conn);
+    }
+    delete this;
+  }
+  void Abandon() override { conn = nullptr; }
+
+  // The client's answer: forwarded responses with the quiet/noreply
+  // suppression re-applied, in request order; a failed part answers
+  // SERVER_ERROR naming its backend.
+  void Assemble(std::string* out) {
+    switch (kind) {
+      case Kind::kForward:
+        for (std::size_t i = 0; i < count; ++i) {
+          if (no_backends) {
+            if (!requests[i].noreply) {
+              AppendServerError(out, kNoBackendsMessage);
+            }
+          } else if (parts[i].ok) {
+            AppendForwardedResponse(out, requests[i], View(parts[i]));
+          } else {
+            AppendRequestFailure(out, requests[i], Name(parts[i]));
+          }
+        }
+        return;
+      case Kind::kGet:
+        AssembleGet(out);
+        return;
+      case Kind::kFlushAll:
+        if (requests[0].noreply) {
+          return;
+        }
+        if (no_backends) {
+          AppendServerError(out, kNoBackendsMessage);
+          return;
+        }
+        for (const Part& part : parts) {
+          if (!part.ok) {
+            AppendBackendErrorLine(out, Name(part));
+            return;
+          }
+        }
+        out->append(kResponseOk);
+        return;
+    }
+  }
+
+  struct Part {
+    std::size_t node = 0;  // in routing
+    const Request* request = nullptr;  // sent, and frames the response
+    bool ok = false;
+    std::size_t offset = 0;  // the response within raw
+    std::size_t size = 0;
+    std::size_t cursor = 0;  // scatter reassembly position in the response
+  };
+
+  const Kind kind;
+  // The client requests this call answers, in order; kGet and kFlushAll
+  // have exactly one. They point into `owned` when the call is parked.
+  const Request* requests = nullptr;
+  std::size_t count = 0;
+  std::vector<Request> owned;
+  std::shared_ptr<const Routing> routing;  // the ring the call started on
+  bool no_backends = false;
+  std::vector<Part> parts;
+  std::vector<Request> subs;              // a scatter's per-owner gets
+  std::vector<std::uint32_t> part_of_key;  // a scatter's key → part
+  std::string raw;
+  std::uint32_t outstanding = 0;  // parts not yet delivered
+  bool parked = false;
+  Connection* conn = nullptr;  // null once abandoned
+  Connection::Slot* slot = nullptr;
+  WorkerContext* context = nullptr;
+
+ private:
+  std::string_view View(const Part& part) const {
+    return std::string_view(raw).substr(part.offset, part.size);
+  }
+  const std::string& Name(const Part& part) const {
+    return routing->by_node[part.node]->name();
+  }
+
+  void AssembleGet(std::string* out) {
+    if (no_backends) {
+      AppendServerError(out, kNoBackendsMessage);
+      return;
+    }
+    if (parts.size() == 1) {
+      // One owner (always the case for a single-key get): its response —
+      // VALUEs in request key order plus END — passes straight through.
+      if (parts[0].ok) {
+        out->append(View(parts[0]));
+      } else {
+        AppendBackendErrorLine(out, Name(parts[0]));
+      }
+      return;
+    }
+    // Reassemble in client key order: each part's VALUE blocks arrive in
+    // its sub-request's key order, so one forward cursor per part merges
+    // them without any key→block map.
+    const Part* failed = nullptr;
+    for (const Part& part : parts) {
+      if (!part.ok && failed == nullptr) {
+        failed = &part;
+      }
+    }
+    const std::vector<std::string>& keys = requests[0].keys;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      Part& part = parts[part_of_key[i]];
+      if (!part.ok) {
+        continue;  // this key's owner failed; the terminator reports it
+      }
+      out->append(TakeValueBlock(View(part), &part.cursor, keys[i]));
+    }
+    if (failed != nullptr) {
+      // Live keys answered above; the error terminator (in place of END)
+      // tells the client the request only partially resolved.
+      AppendBackendErrorLine(out, Name(*failed));
+    } else {
+      out->append(kResponseEnd);
+    }
+  }
+};
+
+// One server worker's side of the proxy: one Channel per backend, its
+// socket in the worker's epoll, shared by every client on the worker.
+class ClusterProxy::Agent final : public WorkerAgent {
+ public:
+  Agent(ClusterProxy& proxy, WorkerContext& context)
+      : proxy_(proxy),
+        context_(context),
+        topology_seen_(proxy.topology_version_.load()) {}
+
+  void Execute(Request& request, Connection& conn, bool* quit,
+               const ServerConnectionStats* conn_stats) override {
+    *quit = false;
+    if (AnswersLocally(request.op)) {
+      // Behind parked requests, Output() holds the answer in its turn.
+      proxy_.ExecuteLocal(request, conn.Output(), quit, conn_stats);
+      return;
+    }
+    auto call = std::make_unique<Call>(Call::KindOf(request.op));
+    call->owned.push_back(std::move(request));
+    Start(std::move(call), conn);
+  }
+  void ExecuteStores(std::vector<Request>& requests,
+                     Connection& conn) override {
+    proxy_.CountStoreBurst(requests.size());
+    auto call = std::make_unique<Call>(Call::Kind::kForward);
+    call->owned = std::move(requests);
+    Start(std::move(call), conn);
+  }
+  void ExecuteMetaGets(std::vector<Request>& requests,
+                       Connection& conn) override {
+    auto call = std::make_unique<Call>(Call::Kind::kForward);
+    call->owned = std::move(requests);
+    Start(std::move(call), conn);
+  }
+
+  void OnEvent(int fd, std::uint32_t events) override {
+    for (Member& member : members_) {
+      if (member.channel->fd() == fd) {
+        member.channel->OnEvent(events);
+        return;
+      }
+    }
+  }
+  void Expire(std::int64_t now_ms) override {
+    for (Member& member : members_) {
+      member.channel->Expire(now_ms);
+    }
+    if (topology_seen_ != proxy_.topology_version_.load()) {
+      DropDeparted();
+    }
+  }
+  void Flush() override {
+    for (Member& member : members_) {
+      member.channel->Flush();
+    }
+  }
+  std::int64_t NextDeadlineMs() const override {
+    std::int64_t next = 0;
+    for (const Member& member : members_) {
+      const std::int64_t due = member.channel->deadline();
+      if (due != 0 && (next == 0 || due < next)) {
+        next = due;
+      }
+    }
+    return next;
+  }
+
+ private:
+  struct Member {
+    std::shared_ptr<Backend> backend;  // keeps a departed member alive
+    std::unique_ptr<Channel> channel;
+  };
+
+  // Submits the call's parts; parks it on `conn` unless every part has
+  // already failed, in which case it answers at once.
+  void Start(std::unique_ptr<Call> call, Connection& conn) {
+    call->requests = call->owned.data();
+    call->count = call->owned.size();
+    proxy_.Launch(*call, [this](const std::shared_ptr<Backend>& backend) {
+      return ChannelFor(backend);
+    });
+    if (call->outstanding == 0) {
+      call->Assemble(conn.Output());
+      return;
+    }
+    Call* parked = call.release();  // frees itself once answered
+    parked->parked = true;
+    parked->conn = &conn;
+    parked->context = &context_;
+    parked->slot = conn.Park(parked);
+  }
+
+  Channel* ChannelFor(const std::shared_ptr<Backend>& backend) {
+    for (Member& member : members_) {
+      if (member.backend == backend) {
+        return member.channel.get();
+      }
+    }
+    members_.push_back(
+        Member{backend, std::make_unique<Channel>(*backend, &context_)});
+    return members_.back().channel.get();
+  }
+
+  // After a topology change: closes the idle channels of members that
+  // left the ring. Busy ones drain first and go on a later pass.
+  void DropDeparted() {
+    const std::uint64_t version = proxy_.topology_version_.load();
+    const std::shared_ptr<const Routing> routing = proxy_.Snapshot();
+    bool all_dropped = true;
+    for (std::size_t i = 0; i < members_.size();) {
+      const auto& current = routing->by_node;
+      if (std::find(current.begin(), current.end(), members_[i].backend) !=
+          current.end()) {
+        ++i;
+      } else if (!members_[i].channel->idle()) {
+        all_dropped = false;
+        ++i;
+      } else {
+        members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+    if (all_dropped) {
+      topology_seen_ = version;
+    }
+  }
+
+  ClusterProxy& proxy_;
+  WorkerContext& context_;
+  std::vector<Member> members_;
+  std::uint64_t topology_seen_;
+};
+
 ClusterProxy::ClusterProxy(const std::vector<BackendAddress>& backends,
                            ClusterOptions options)
     : options_(options) {
@@ -117,16 +409,19 @@ ClusterProxy::ClusterProxy(const std::vector<BackendAddress>& backends,
 
 ClusterProxy::~ClusterProxy() = default;
 
+std::unique_ptr<WorkerAgent> ClusterProxy::AttachWorker(
+    WorkerContext& context) {
+  return std::make_unique<Agent>(*this, context);
+}
+
 std::shared_ptr<const ClusterProxy::Routing> ClusterProxy::Snapshot() const {
   std::lock_guard<std::mutex> lock(routing_mutex_);
   return routing_;
 }
 
-Backend* ClusterProxy::RouteKey(const Routing& routing, std::string_view key) {
+std::size_t ClusterProxy::RouteKey(const Routing& routing,
+                                   std::string_view key) {
   const std::size_t index = routing.ring.NodeForKey(key);
-  if (index == HashRing::kNoNode) {
-    return nullptr;
-  }
   if (routing.has_previous) {
     // Live measurement of consistent hashing's bounded key movement: a
     // routed key counts when the pre-change ring owned it elsewhere.
@@ -136,302 +431,191 @@ Backend* ClusterProxy::RouteKey(const Routing& routing, std::string_view key) {
       remapped_keys_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return routing.by_node[index].get();
+  return index;
+}
+
+bool ClusterProxy::AnswersLocally(Op op) {
+  return op == Op::kQuit || op == Op::kVersion || op == Op::kMetaNoop ||
+         op == Op::kStats;
+}
+
+void ClusterProxy::ExecuteLocal(const Request& request, std::string* out,
+                                bool* quit,
+                                const ServerConnectionStats* conn_stats) {
+  switch (request.op) {
+    case Op::kQuit:
+      *quit = true;
+      return;
+    case Op::kVersion:
+      // Every backend would say the same thing.
+      AppendVersionResponse(out, kServerVersion);
+      return;
+    case Op::kMetaNoop:
+      // The pipeline barrier is proxy-local: it leaves after every earlier
+      // response, parked ones included.
+      out->append(kResponseMetaNoop);
+      return;
+    default:
+      AppendStatsResponse(out, conn_stats);
+      return;
+  }
+}
+
+void ClusterProxy::CountStoreBurst(std::size_t count) {
+  if (count >= 2) {
+    store_batches_.fetch_add(1, std::memory_order_relaxed);
+    store_batched_ops_.fetch_add(count, std::memory_order_relaxed);
+  }
+}
+
+template <typename ChannelFor>
+void ClusterProxy::Launch(Call& call, ChannelFor&& channel_for) {
+  call.routing = Snapshot();
+  const Routing& routing = *call.routing;
+  if (routing.ring.node_count() == 0) {
+    call.no_backends = true;
+    return;
+  }
+  switch (call.kind) {
+    case Call::Kind::kForward:
+      // Every remaining op carries exactly one key.
+      call.parts.resize(call.count);
+      for (std::size_t i = 0; i < call.count; ++i) {
+        call.parts[i].node = RouteKey(routing, call.requests[i].keys[0]);
+        call.parts[i].request = &call.requests[i];
+      }
+      break;
+    case Call::Kind::kGet: {
+      // Route every key exactly once (RouteKey counts remaps), grouping
+      // by owner: the cluster analogue of GetManyScratch's shard grouping.
+      // Each owner gets ONE batched get (cluster_scatter_batches pins it).
+      const Request& request = call.requests[0];
+      std::vector<std::size_t> owners;
+      call.part_of_key.resize(request.keys.size());
+      for (std::size_t i = 0; i < request.keys.size(); ++i) {
+        const std::size_t node = RouteKey(routing, request.keys[i]);
+        std::size_t g = 0;
+        while (g < owners.size() && owners[g] != node) {
+          ++g;
+        }
+        if (g == owners.size()) {
+          owners.push_back(node);
+        }
+        call.part_of_key[i] = static_cast<std::uint32_t>(g);
+      }
+      call.parts.resize(owners.size());
+      for (std::size_t g = 0; g < owners.size(); ++g) {
+        call.parts[g].node = owners[g];
+      }
+      if (owners.size() == 1) {
+        call.parts[0].request = &request;  // forwarded wholesale
+        break;
+      }
+      call.subs.resize(owners.size());
+      for (std::size_t g = 0; g < owners.size(); ++g) {
+        call.subs[g].op = request.op;
+        call.parts[g].request = &call.subs[g];
+      }
+      for (std::size_t i = 0; i < request.keys.size(); ++i) {
+        call.subs[call.part_of_key[i]].keys.push_back(request.keys[i]);
+      }
+      scatter_gets_.fetch_add(1, std::memory_order_relaxed);
+      scatter_batches_.fetch_add(owners.size(), std::memory_order_relaxed);
+      break;
+    }
+    case Call::Kind::kFlushAll:
+      call.parts.resize(routing.by_node.size());
+      for (std::size_t node = 0; node < routing.by_node.size(); ++node) {
+        call.parts[node].node = node;
+        call.parts[node].request = &call.requests[0];
+      }
+      break;
+  }
+  // Hand the parts over in request order, so each backend's channel keeps
+  // it. A backend marked dead fails its parts at once (one error per
+  // call, no connect storm); the first call after dead_retry_ms goes
+  // through and is the half-open probe.
+  struct Group {
+    std::size_t node;
+    Channel* channel;  // null: the backend is marked dead
+  };
+  std::vector<Group> groups;
+  const std::int64_t now = MonotonicMs();
+  call.outstanding = 1;  // held while parts are handed over
+  for (std::size_t i = 0; i < call.parts.size(); ++i) {
+    const std::size_t node = call.parts[i].node;
+    std::size_t g = 0;
+    while (g < groups.size() && groups[g].node != node) {
+      ++g;
+    }
+    if (g == groups.size()) {
+      const std::shared_ptr<Backend>& backend = routing.by_node[node];
+      Channel* channel = nullptr;
+      if (backend->IsDead(now)) {
+        backend->CountError();
+      } else {
+        channel = channel_for(backend);
+      }
+      groups.push_back(Group{node, channel});
+    }
+    if (groups[g].channel != nullptr) {
+      ++call.outstanding;
+      groups[g].channel->Submit(*call.parts[i].request, &call,
+                                static_cast<std::uint32_t>(i));
+    }
+  }
+  forwards_.fetch_add(groups.size(), std::memory_order_relaxed);
+  --call.outstanding;
+}
+
+void ClusterProxy::RunSync(Call& call, std::string* out) {
+  std::vector<std::pair<Backend*, std::unique_ptr<Channel>>> borrowed;
+  Launch(call, [&borrowed](const std::shared_ptr<Backend>& backend) {
+    borrowed.emplace_back(backend.get(), backend->Borrow());
+    return borrowed.back().second.get();
+  });
+  if (call.outstanding != 0) {
+    std::vector<Channel*> channels;
+    for (const auto& entry : borrowed) {
+      channels.push_back(entry.second.get());
+    }
+    DriveChannels(channels.data(), channels.size(), call.outstanding);
+  }
+  call.Assemble(out);
+  for (auto& [backend, channel] : borrowed) {
+    backend->Return(std::move(channel));
+  }
 }
 
 void ClusterProxy::Execute(const Request& request, std::string* out,
                            bool* quit,
                            const ServerConnectionStats* conn_stats) {
   *quit = false;
-  switch (request.op) {
-    case Op::kQuit:
-      *quit = true;
-      return;
-    case Op::kVersion:
-      // Answered locally (every backend would say the same thing).
-      AppendVersionResponse(out, kVersionString);
-      return;
-    case Op::kMetaNoop:
-      // The pipeline barrier is proxy-local: by the time the connection
-      // executes it, every earlier response is already in *out.
-      out->append(kResponseMetaNoop);
-      return;
-    case Op::kStats:
-      AppendStatsResponse(out, conn_stats);
-      return;
-    case Op::kFlushAll:
-      BroadcastFlushAll(request, out);
-      return;
-    case Op::kGet:
-    case Op::kGets:
-      ExecuteGet(request, out);
-      return;
-    default:
-      // Every remaining op carries exactly one key: route and forward.
-      ForwardSingle(request, out);
-      return;
-  }
-}
-
-void ClusterProxy::ForwardSingle(const Request& request, std::string* out) {
-  const std::shared_ptr<const Routing> routing = Snapshot();
-  Backend* backend = RouteKey(*routing, request.keys[0]);
-  if (backend == nullptr) {
-    if (!request.noreply) {
-      AppendServerError(out, kNoBackendsMessage);
-    }
+  if (AnswersLocally(request.op)) {
+    ExecuteLocal(request, out, quit, conn_stats);
     return;
   }
-  // Thread-local scratch: the singleton forward path allocates nothing in
-  // steady state. Safe — this function never re-enters.
-  static thread_local std::string wire;
-  static thread_local std::string raw;
-  static thread_local std::vector<ResponseFrame> frames;
-  wire.clear();
-  raw.clear();
-  frames.clear();
-  AppendRequestWire(&wire, request, /*strip_quiet=*/true);
-  forwards_.fetch_add(1, std::memory_order_relaxed);
-  const Request* request_ptr = &request;
-  if (!backend->Exchange(wire, &request_ptr, 1, &raw, &frames)) {
-    AppendRequestFailure(out, request, backend->name());
-    return;
-  }
-  AppendForwardedResponse(out, request, FrameView(raw, frames[0]));
-}
-
-void ClusterProxy::ExecuteGet(const Request& request, std::string* out) {
-  const std::shared_ptr<const Routing> routing = Snapshot();
-  if (routing->ring.node_count() == 0) {
-    AppendServerError(out, kNoBackendsMessage);
-    return;
-  }
-  // Route every key exactly once (RouteKey counts remaps).
-  static thread_local std::vector<Backend*> owners;
-  owners.clear();
-  for (const std::string& key : request.keys) {
-    owners.push_back(RouteKey(*routing, key));
-  }
-  bool single_owner = true;
-  for (std::size_t i = 1; i < owners.size(); ++i) {
-    if (owners[i] != owners[0]) {
-      single_owner = false;
-      break;
-    }
-  }
-  if (single_owner) {
-    // One owner (always the case for a single-key get): forward the
-    // request wholesale and pass the response — VALUEs in request key
-    // order plus END — straight through.
-    static thread_local std::string wire;
-    static thread_local std::string raw;
-    static thread_local std::vector<ResponseFrame> frames;
-    wire.clear();
-    raw.clear();
-    frames.clear();
-    AppendRequestWire(&wire, request, /*strip_quiet=*/true);
-    forwards_.fetch_add(1, std::memory_order_relaxed);
-    const Request* request_ptr = &request;
-    if (!owners[0]->Exchange(wire, &request_ptr, 1, &raw, &frames)) {
-      AppendBackendErrorLine(out, owners[0]->name());
-      return;
-    }
-    out->append(FrameView(raw, frames[0]));
-    return;
-  }
-
-  // Scatter-gather: the cluster analogue of GetManyScratch's shard
-  // grouping. One batched `get` sub-request per owner
-  // (cluster_scatter_batches pins that), all sent before any response is
-  // awaited.
-  struct GetGroup {
-    Backend* backend = nullptr;
-    Request sub;
-    std::string wire;
-    int fd = -1;
-    bool ok = false;
-    ResponseFrame frame{};
-    std::size_t block_pos = 0;  // reassembly scan state within frame
-  };
-  std::vector<GetGroup> groups;
-  std::vector<std::size_t> group_of(request.keys.size());
-  for (std::size_t i = 0; i < request.keys.size(); ++i) {
-    std::size_t g = 0;
-    while (g < groups.size() && groups[g].backend != owners[i]) {
-      ++g;
-    }
-    if (g == groups.size()) {
-      groups.emplace_back();
-      groups[g].backend = owners[i];
-      groups[g].sub.op = request.op;
-    }
-    groups[g].sub.keys.push_back(request.keys[i]);
-    group_of[i] = g;
-  }
-  scatter_gets_.fetch_add(1, std::memory_order_relaxed);
-  scatter_batches_.fetch_add(groups.size(), std::memory_order_relaxed);
-  forwards_.fetch_add(groups.size(), std::memory_order_relaxed);
-  for (GetGroup& group : groups) {
-    AppendRequestWire(&group.wire, group.sub, /*strip_quiet=*/true);
-    group.fd = group.backend->BeginExchange(group.wire);
-  }
-  std::string raw;
-  std::vector<ResponseFrame> frames;
-  for (GetGroup& group : groups) {
-    if (group.fd < 0) {
-      continue;
-    }
-    const Request* sub_ptr = &group.sub;
-    group.ok = group.backend->FinishExchange(group.fd, group.wire, &sub_ptr, 1,
-                                             &raw, &frames);
-    if (group.ok) {
-      group.frame = frames.back();
-    }
-  }
-  // Reassemble in client key order: each group's VALUE blocks arrive in
-  // its sub-request's key order, so one forward cursor per group merges
-  // them without any key→block map.
-  const Backend* failed = nullptr;
-  for (const GetGroup& group : groups) {
-    if (!group.ok && failed == nullptr) {
-      failed = group.backend;
-    }
-  }
-  for (std::size_t i = 0; i < request.keys.size(); ++i) {
-    GetGroup& group = groups[group_of[i]];
-    if (!group.ok) {
-      continue;  // this key's owner failed; the terminator reports it
-    }
-    const std::string_view block = TakeValueBlock(
-        FrameView(raw, group.frame), &group.block_pos, request.keys[i]);
-    out->append(block);
-  }
-  if (failed != nullptr) {
-    // Live keys answered above; the error terminator (in place of END)
-    // tells the client the request only partially resolved.
-    AppendBackendErrorLine(out, failed->name());
-  } else {
-    out->append(kResponseEnd);
-  }
+  Call call(Call::KindOf(request.op));
+  call.requests = &request;
+  call.count = 1;
+  RunSync(call, out);
 }
 
 void ClusterProxy::ExecuteStores(const Request* requests, std::size_t count,
                                  std::string* out) {
-  if (count >= 2) {
-    store_batches_.fetch_add(1, std::memory_order_relaxed);
-    store_batched_ops_.fetch_add(count, std::memory_order_relaxed);
-  }
-  FanOut(requests, count, out);
+  CountStoreBurst(count);
+  Call call(Call::Kind::kForward);
+  call.requests = requests;
+  call.count = count;
+  RunSync(call, out);
 }
 
 void ClusterProxy::ExecuteMetaGets(const Request* requests, std::size_t count,
                                    std::string* out) {
-  FanOut(requests, count, out);
-}
-
-void ClusterProxy::FanOut(const Request* requests, std::size_t count,
-                          std::string* out) {
-  if (count == 0) {
-    return;
-  }
-  const std::shared_ptr<const Routing> routing = Snapshot();
-  if (routing->ring.node_count() == 0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!requests[i].noreply) {
-        AppendServerError(out, kNoBackendsMessage);
-      }
-    }
-    return;
-  }
-  // Group the burst by ring owner; each backend receives ONE pipelined
-  // wire burst, which its connection collects into the batched
-  // StoreMany / GetManyScratch path — the cluster rides the same batching
-  // the single-process server built.
-  struct FanGroup {
-    Backend* backend = nullptr;
-    std::string wire;
-    std::vector<const Request*> members;
-    int fd = -1;
-    bool ok = false;
-    std::size_t frame_begin = 0;
-  };
-  std::vector<FanGroup> groups;
-  // (group, index within group) per request, for in-order reassembly.
-  std::vector<std::pair<std::size_t, std::size_t>> placement(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Backend* owner = RouteKey(*routing, requests[i].keys[0]);
-    std::size_t g = 0;
-    while (g < groups.size() && groups[g].backend != owner) {
-      ++g;
-    }
-    if (g == groups.size()) {
-      groups.emplace_back();
-      groups[g].backend = owner;
-    }
-    placement[i] = {g, groups[g].members.size()};
-    groups[g].members.push_back(&requests[i]);
-    AppendRequestWire(&groups[g].wire, requests[i], /*strip_quiet=*/true);
-  }
-  forwards_.fetch_add(groups.size(), std::memory_order_relaxed);
-  for (FanGroup& group : groups) {
-    group.fd = group.backend->BeginExchange(group.wire);
-  }
-  std::string raw;
-  std::vector<ResponseFrame> frames;
-  for (FanGroup& group : groups) {
-    group.frame_begin = frames.size();
-    if (group.fd < 0) {
-      continue;
-    }
-    group.ok = group.backend->FinishExchange(group.fd, group.wire,
-                                             group.members.data(),
-                                             group.members.size(), &raw,
-                                             &frames);
-  }
-  // Responses leave in original request order — the proxy never reorders
-  // responses within one connection's pipeline.
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto [g, member] = placement[i];
-    const FanGroup& group = groups[g];
-    if (!group.ok) {
-      AppendRequestFailure(out, requests[i], group.backend->name());
-      continue;
-    }
-    AppendForwardedResponse(out, requests[i],
-                            FrameView(raw, frames[group.frame_begin + member]));
-  }
-}
-
-void ClusterProxy::BroadcastFlushAll(const Request& request,
-                                     std::string* out) {
-  const std::shared_ptr<const Routing> routing = Snapshot();
-  if (routing->ring.node_count() == 0) {
-    if (!request.noreply) {
-      AppendServerError(out, kNoBackendsMessage);
-    }
-    return;
-  }
-  std::string wire;
-  AppendRequestWire(&wire, request, /*strip_quiet=*/true);
-  const Backend* failed = nullptr;
-  for (const std::shared_ptr<Backend>& backend : routing->by_node) {
-    std::string raw;
-    std::vector<ResponseFrame> frames;
-    forwards_.fetch_add(1, std::memory_order_relaxed);
-    const Request* request_ptr = &request;
-    if (!backend->Exchange(wire, &request_ptr, 1, &raw, &frames) &&
-        failed == nullptr) {
-      failed = backend.get();
-    }
-  }
-  if (request.noreply) {
-    return;
-  }
-  if (failed != nullptr) {
-    AppendBackendErrorLine(out, failed->name());
-  } else {
-    out->append(kResponseOk);
-  }
+  Call call(Call::Kind::kForward);
+  call.requests = requests;
+  call.count = count;
+  RunSync(call, out);
 }
 
 void ClusterProxy::AppendStatsResponse(
@@ -471,6 +655,7 @@ bool ClusterProxy::AddNode(const BackendAddress& address) {
   next->by_node.push_back(std::make_shared<Backend>(
       address.name, address.port, options_.backend));
   routing_ = std::move(next);
+  topology_version_.fetch_add(1);
   return true;
 }
 
@@ -499,6 +684,7 @@ bool ClusterProxy::RemoveNode(std::string_view name) {
   next->by_node.erase(next->by_node.begin() +
                       static_cast<std::ptrdiff_t>(index));
   routing_ = std::move(next);
+  topology_version_.fetch_add(1);
   return true;
 }
 

@@ -19,9 +19,21 @@
 // Pipelined store bursts fan out the same way, riding each backend's
 // batched StoreMany wire path.
 //
-// Responses always append in request order — the proxy never reorders
+// Under a Server the proxy never blocks its worker: AttachWorker gives
+// each worker an agent that owns one long-lived pipelined Channel per
+// backend (backend.h), registered in the worker's epoll. A request that
+// needs a backend is parked on its connection while the worker serves
+// other clients; when its responses are framed, its answer takes its
+// place in the connection's response order. So a slow backend delays only
+// the requests routed to it (ClusterFaults.
+// WedgedBackendDoesNotStallOtherClients). The synchronous Execute calls
+// are a thin driver over the same Channels: they borrow idle ones and
+// poll() them until the answer is complete, for callers outside a Server.
+//
+// Responses always leave in request order — the proxy never reorders
 // responses within one connection's pipeline (ClusterConformance.
-// MixedPipelineOrderMatchesDirect enforces this).
+// MixedPipelineOrderMatchesDirect and ProtocolSplits.
+// ProxySocketTranscriptsMatchDirectAtEverySplit enforce this).
 //
 // Topology changes (AddNode/RemoveNode) swap an immutable routing
 // snapshot; in-flight requests finish on the ring they started with, and
@@ -75,13 +87,15 @@ class ClusterProxy : public RequestHandler {
                         ClusterOptions options = {});
   ~ClusterProxy() override;
 
-  // RequestHandler: called concurrently by every server worker.
+  // RequestHandler, synchronous: safe to call from any thread.
   void Execute(const Request& request, std::string* out, bool* quit,
                const ServerConnectionStats* conn_stats) override;
   void ExecuteStores(const Request* requests, std::size_t count,
                      std::string* out) override;
   void ExecuteMetaGets(const Request* requests, std::size_t count,
                        std::string* out) override;
+  // One agent per server worker: the non-blocking path.
+  std::unique_ptr<WorkerAgent> AttachWorker(WorkerContext& context) override;
 
   // Topology. Both swap the routing snapshot; false = duplicate/unknown
   // name. In-flight requests complete on the old snapshot (its backends
@@ -107,26 +121,37 @@ class ClusterProxy : public RequestHandler {
     HashRing previous_ring;
     bool has_previous = false;
   };
+  class Call;
+  class Agent;
 
   std::shared_ptr<const Routing> Snapshot() const;
-  // Ring owner of keys[index], counting a remap when the previous ring
-  // owned it elsewhere. nullptr on an empty ring.
-  Backend* RouteKey(const Routing& routing, std::string_view key);
+  // Ring owner (node index) of `key`, counting a remap when the previous
+  // ring owned it elsewhere. The ring must not be empty.
+  std::size_t RouteKey(const Routing& routing, std::string_view key);
 
-  void ExecuteGet(const Request& request, std::string* out);
-  void ForwardSingle(const Request& request, std::string* out);
-  void BroadcastFlushAll(const Request& request, std::string* out);
+  // version, mn, stats and quit are answered by the proxy itself.
+  static bool AnswersLocally(Op op);
+  void ExecuteLocal(const Request& request, std::string* out, bool* quit,
+                    const ServerConnectionStats* conn_stats);
+  void CountStoreBurst(std::size_t count);
+  // Routes `call` into parts, one per sub-request, and submits each to the
+  // Channel `channel_for` returns for its backend (the worker's own, or a
+  // borrowed one). A marked-dead backend's parts fail at once.
+  template <typename ChannelFor>
+  void Launch(Call& call, ChannelFor&& channel_for);
+  // The synchronous driver: Launch on borrowed channels, poll them until
+  // every part is answered, append the answer to *out.
+  void RunSync(Call& call, std::string* out);
   void AppendStatsResponse(std::string* out,
                            const ServerConnectionStats* conn_stats);
-  // Shared scatter-gather core for store bursts and quiet mg runs: group
-  // by ring owner, one pipelined sub-exchange per backend, responses
-  // reassembled in request order (failures substitute SERVER_ERROR).
-  void FanOut(const Request* requests, std::size_t count, std::string* out);
 
   const ClusterOptions options_;
 
   mutable std::mutex routing_mutex_;
   std::shared_ptr<const Routing> routing_;
+  // Bumped by every AddNode/RemoveNode, so agents know to drop channels
+  // to departed members.
+  std::atomic<std::uint64_t> topology_version_{0};
 
   // Counters for retired members, so RemoveNode doesn't erase history.
   std::atomic<std::uint64_t> retired_errors_{0};

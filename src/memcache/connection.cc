@@ -123,7 +123,7 @@ void ExecuteRequest(CacheEngine& engine, const Request& request,
       return;
     }
     case Op::kVersion:
-      AppendVersionResponse(out, "rp-memcache 1.0");
+      AppendVersionResponse(out, kServerVersion);
       return;
     case Op::kStats: {
       const EngineStats stats = engine.Stats();
@@ -404,6 +404,12 @@ void ExecuteMetaGetBatch(CacheEngine& engine, const Request* requests,
 
 RequestHandler::~RequestHandler() = default;
 
+std::unique_ptr<WorkerAgent> RequestHandler::AttachWorker(WorkerContext&) {
+  return nullptr;
+}
+
+WorkerAgent::~WorkerAgent() = default;
+
 void EngineHandler::Execute(const Request& request, std::string* out,
                             bool* quit,
                             const ServerConnectionStats* conn_stats) {
@@ -420,16 +426,22 @@ void EngineHandler::ExecuteMetaGets(const Request* requests, std::size_t count,
   ExecuteMetaGetBatch(engine_, requests, count, out);
 }
 
-Connection::Connection(int fd, RequestHandler& handler,
+Connection::Connection(int fd, RequestHandler& handler, WorkerAgent* agent,
                        std::size_t write_high_water,
                        ConnectionCounters* counters)
     : fd_(fd),
       handler_(handler),
+      agent_(agent),
       write_high_water_(write_high_water),
       counters_(counters),
       last_active_ms_(MonotonicMs()) {}
 
 Connection::~Connection() {
+  for (Slot& slot : slots_) {
+    if (slot.owner != nullptr) {
+      slot.owner->Abandon();
+    }
+  }
   ::close(fd_);
   if (counters_ != nullptr) {
     counters_->current.fetch_sub(1, std::memory_order_relaxed);
@@ -443,7 +455,7 @@ bool Connection::OnReadable() {
   // sees the output produced so far: a pipelined blast stops being read
   // (and stops being executed) the moment its responses cross the
   // high-water mark, and TCP flow control pushes back on the client.
-  while (!close_after_flush_ && !peer_eof_ && !reads_paused_) {
+  while (wants_read()) {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
       parser_.Feed(std::string_view(buf, static_cast<std::size_t>(n)));
@@ -473,10 +485,37 @@ bool Connection::OnReadable() {
 
 bool Connection::OnWritable() {
   last_active_ms_ = MonotonicMs();
+  return Resume();
+}
+
+bool Connection::Resume() {
   if (!Pump()) {
     return false;
   }
   return !finished();
+}
+
+std::string* Connection::Output() {
+  if (slots_.empty()) {
+    return &out_;
+  }
+  slots_.emplace_back();  // released from the start, leaves in its turn
+  return &slots_.back().bytes;
+}
+
+Connection::Slot* Connection::Park(ParkedRequest* owner) {
+  slots_.push_back(Slot{std::string(), owner});
+  ++parked_;
+  return &slots_.back();
+}
+
+void Connection::Release(Slot* slot) {
+  slot->owner = nullptr;
+  --parked_;
+  while (!slots_.empty() && slots_.front().owner == nullptr) {
+    out_.append(slots_.front().bytes);
+    slots_.pop_front();
+  }
 }
 
 bool Connection::Pump() {
@@ -487,8 +526,8 @@ bool Connection::Pump() {
     if (!deferred_work_ || close_after_flush_) {
       return true;
     }
-    if (pending_output() > write_high_water_) {
-      return true;  // still jammed: the next EPOLLOUT pumps again
+    if (stalled()) {
+      return true;  // still jammed: the next EPOLLOUT or release pumps again
     }
     deferred_work_ = ExecuteBuffered();
   }
@@ -497,10 +536,11 @@ bool Connection::Pump() {
 bool Connection::ExecuteBuffered() {
   ServerConnectionStats snapshot;
   while (!close_after_flush_) {
-    if (pending_output() > write_high_water_) {
+    if (stalled()) {
       // Backpressure applies between pipelined requests too, or one read
       // chunk full of multi-gets could buffer responses without bound.
-      // (A single response still buffers whole, however large.)
+      // (A single response still buffers whole, however large.) So does
+      // the bound on parked responses.
       FlushStoreBatch();  // the parser already consumed these; answer them
       FlushMetaGetBatch();
       UpdateBackpressure();
@@ -514,7 +554,7 @@ bool Connection::ExecuteBuffered() {
     if (status == ParseStatus::kError) {
       FlushStoreBatch();  // burst responses precede the error, in order
       FlushMetaGetBatch();
-      AppendClientError(&out_, parser_.error_message());
+      AppendClientError(Output(), parser_.error_message());
       continue;
     }
     if (request.op == Op::kMetaGet) {
@@ -549,7 +589,11 @@ bool Connection::ExecuteBuffered() {
       conn_stats = &snapshot;
     }
     bool quit = false;
-    handler_.Execute(request, &out_, &quit, conn_stats);
+    if (agent_ != nullptr) {
+      agent_->Execute(request, *this, &quit, conn_stats);
+    } else {
+      handler_.Execute(request, &out_, &quit, conn_stats);
+    }
     if (quit) {
       // Later pipelined requests are dropped, but responses already in
       // out_ still flush before the close.
@@ -566,7 +610,11 @@ void Connection::FlushStoreBatch() {
   if (store_batch_.empty()) {
     return;
   }
-  handler_.ExecuteStores(store_batch_.data(), store_batch_.size(), &out_);
+  if (agent_ != nullptr) {
+    agent_->ExecuteStores(store_batch_, *this);
+  } else {
+    handler_.ExecuteStores(store_batch_.data(), store_batch_.size(), &out_);
+  }
   store_batch_.clear();
 }
 
@@ -574,8 +622,12 @@ void Connection::FlushMetaGetBatch() {
   if (meta_get_batch_.empty()) {
     return;
   }
-  handler_.ExecuteMetaGets(meta_get_batch_.data(), meta_get_batch_.size(),
-                           &out_);
+  if (agent_ != nullptr) {
+    agent_->ExecuteMetaGets(meta_get_batch_, *this);
+  } else {
+    handler_.ExecuteMetaGets(meta_get_batch_.data(), meta_get_batch_.size(),
+                             &out_);
+  }
   meta_get_batch_.clear();
 }
 

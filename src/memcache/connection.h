@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,13 +77,43 @@ void ExecuteStoreBatch(CacheEngine& engine, const Request* requests,
 void ExecuteMetaGetBatch(CacheEngine& engine, const Request* requests,
                          std::size_t count, std::string* out);
 
+class Connection;
+class WorkerAgent;
+
+// The event-loop services a server worker offers its WorkerAgent. Used
+// only from that worker's thread.
+class WorkerContext {
+ public:
+  // Registers `fd` in the worker's epoll for `events`, or changes the
+  // events it is registered for. The worker hands that fd's events to
+  // WorkerAgent::OnEvent; closing the fd unregisters it.
+  virtual void Watch(int fd, std::uint32_t events) = 0;
+  // `conn` released parked responses: the worker flushes them, and
+  // resumes any requests the parking held back, before it next sleeps.
+  virtual void Wake(Connection& conn) = 0;
+
+ protected:
+  ~WorkerContext() = default;
+};
+
+// The handler's side of a parked request (Connection::Park).
+class ParkedRequest {
+ public:
+  // The connection is being destroyed before the response arrived: the
+  // slot is gone and must never be filled or released.
+  virtual void Abandon() = 0;
+
+ protected:
+  ~ParkedRequest() = default;
+};
+
 // Dispatch seam between the event-driven front end and whatever answers
 // requests behind it — a local engine (EngineHandler) or the cluster
 // routing proxy (cluster::ClusterProxy). A Connection hands store and mg
 // runs (a lone one included) to the batched entry points and every other
 // request to Execute, so every implementation sees the exact batch
-// boundaries the wire produced. Implementations must be thread-safe: one handler instance is
-// shared by every worker's connections.
+// boundaries the wire produced. Implementations must be thread-safe: one
+// handler instance is shared by every worker's connections.
 class RequestHandler {
  public:
   virtual ~RequestHandler();
@@ -98,6 +130,42 @@ class RequestHandler {
   // A pipelined run of mg requests; responses append in request order.
   virtual void ExecuteMetaGets(const Request* requests, std::size_t count,
                                std::string* out) = 0;
+
+  // Asynchronous execution on one server worker. The Server calls this
+  // once per event-loop worker; when it returns an agent, that worker's
+  // connections dispatch through the agent instead of the three calls
+  // above. The default, nullptr, keeps every request synchronous.
+  virtual std::unique_ptr<WorkerAgent> AttachWorker(WorkerContext& context);
+};
+
+// One worker's asynchronous side of a RequestHandler. Its entry points
+// keep the handler's batch boundaries, but a request whose answer needs
+// I/O is parked on its connection (Connection::Park) while the worker
+// serves other clients; the agent fills and releases the slot once the
+// answer is known. Answers known at once go to Connection::Output(). The
+// agent may move from the requests it is handed. Used only from the
+// worker's thread.
+class WorkerAgent {
+ public:
+  virtual ~WorkerAgent();
+
+  virtual void Execute(Request& request, Connection& conn, bool* quit,
+                       const ServerConnectionStats* conn_stats) = 0;
+  virtual void ExecuteStores(std::vector<Request>& requests,
+                             Connection& conn) = 0;
+  virtual void ExecuteMetaGets(std::vector<Request>& requests,
+                               Connection& conn) = 0;
+
+  // An event on an fd the agent registered through WorkerContext::Watch.
+  virtual void OnEvent(int fd, std::uint32_t events) = 0;
+  // Once per event-loop pass, after the pass's events: fails the work
+  // whose deadline is at or before now_ms.
+  virtual void Expire(std::int64_t now_ms) = 0;
+  // Once per pass, last: sends what the pass queued.
+  virtual void Flush() = 0;
+  // Earliest deadline of the work in flight (MonotonicMs), 0 when none:
+  // the worker's epoll_wait sleeps no longer than this.
+  virtual std::int64_t NextDeadlineMs() const = 0;
 };
 
 // The single-process handler: requests run directly against a CacheEngine
@@ -119,13 +187,15 @@ class EngineHandler : public RequestHandler {
 
 class Connection {
  public:
-  // Takes ownership of the (non-blocking) fd. counters may be null (then
-  // `stats` omits the connection gauges); when set, `current` and `total`
-  // were already incremented by the acceptor and the destructor decrements
+  // Takes ownership of the (non-blocking) fd. agent, when set, is the
+  // handler's side on this connection's worker and receives every request
+  // (RequestHandler::AttachWorker). counters may be null (then `stats`
+  // omits the connection gauges); when set, `current` and `total` were
+  // already incremented by the acceptor and the destructor decrements
   // `current`.
-  Connection(int fd, RequestHandler& handler, std::size_t write_high_water,
-             ConnectionCounters* counters);
-  ~Connection();  // closes the fd
+  Connection(int fd, RequestHandler& handler, WorkerAgent* agent,
+             std::size_t write_high_water, ConnectionCounters* counters);
+  ~Connection();  // abandons parked requests, closes the fd
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -137,12 +207,36 @@ class Connection {
   // buffered responses have been fully flushed.
   bool OnReadable();
   bool OnWritable();
+  // After WorkerContext::Wake: flushes released responses and runs the
+  // requests that parking held back. Same return contract.
+  bool Resume();
+
+  // A parked request's place in the response order. Its owner appends
+  // the response to `bytes`, then calls Release.
+  struct Slot {
+    std::string bytes;
+    ParkedRequest* owner = nullptr;  // null once released
+  };
+  // For a WorkerAgent. Where a response known now goes: the output
+  // buffer, or, behind parked requests, a released slot of its own.
+  std::string* Output();
+  // Reserves the response position of a request answered later. If the
+  // connection is destroyed first, owner->Abandon() is called instead.
+  Slot* Park(ParkedRequest* owner);
+  // The slot's response is complete; every released slot at the front of
+  // the order moves to the output buffer.
+  void Release(Slot* slot);
+  // Requests parked and not yet released: the connection is not done, and
+  // idle eviction leaves it alone.
+  bool has_parked() const { return parked_ != 0; }
 
   // Epoll interest wanted after the last event. Reads pause while the
-  // output buffer is above the high-water mark (backpressure) and stop
-  // for good once a quit has been parsed or the peer sent EOF.
+  // output buffer is above the high-water mark (backpressure) or the
+  // parked responses reach their bound, and stop for good once a quit has
+  // been parsed or the peer sent EOF.
   bool wants_read() const {
-    return !close_after_flush_ && !peer_eof_ && !reads_paused_;
+    return !close_after_flush_ && !peer_eof_ && !reads_paused_ &&
+           slots_.size() < kMaxSlots;
   }
   bool wants_write() const { return pending_output() > 0; }
 
@@ -176,6 +270,11 @@ class Connection {
   // until the socket stops taking bytes or no deferred work remains.
   // False = fatal socket error.
   bool Pump();
+  // Deferred requests must wait: output over the high-water mark, or the
+  // parked responses at their bound.
+  bool stalled() const {
+    return pending_output() > write_high_water_ || slots_.size() >= kMaxSlots;
+  }
   // Writes as much of out_ as the socket accepts. False = fatal error.
   bool FlushOutput();
   void UpdateBackpressure();
@@ -187,11 +286,12 @@ class Connection {
   // and read — `printf ... | nc` — depend on that).
   bool finished() const {
     return (close_after_flush_ || (peer_eof_ && !deferred_work_)) &&
-           pending_output() == 0;
+           pending_output() == 0 && slots_.empty();
   }
 
   const int fd_;
   RequestHandler& handler_;
+  WorkerAgent* const agent_;
   const std::size_t write_high_water_;
   ConnectionCounters* const counters_;
 
@@ -199,12 +299,19 @@ class Connection {
   // buffer (and each engine lock hold) while staying well past the depth
   // a pipelined client keeps in flight.
   static constexpr std::size_t kMaxStoreBatch = 64;
+  // Bound on the slots waiting to leave (parked requests and the answers
+  // queued behind them); reads and execution pause at it.
+  static constexpr std::size_t kMaxSlots = 64;
 
   RequestParser parser_;
   std::vector<Request> store_batch_;     // pending pipelined store burst
   std::vector<Request> meta_get_batch_;  // pending pipelined mg burst
   std::string out_;        // response bytes not yet handed to the kernel
   std::size_t out_sent_ = 0;  // prefix of out_ already written
+  // Responses that must leave after out_, in order; the front one is
+  // still parked. Empty unless an agent parked a request.
+  std::deque<Slot> slots_;
+  std::size_t parked_ = 0;  // slots with an owner
   bool close_after_flush_ = false;  // quit seen: flush, then close
   bool peer_eof_ = false;           // peer sent EOF: answer, flush, close
   bool reads_paused_ = false;       // over the write high-water mark

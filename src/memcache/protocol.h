@@ -186,6 +186,10 @@ inline constexpr std::string_view kResponseTouched = "TOUCHED\r\n";
 inline constexpr std::string_view kResponseOk = "OK\r\n";
 inline constexpr std::string_view kResponseMetaNoop = "MN\r\n";
 
+// What `version` answers. The engines and the cluster proxy answer it
+// alike, so direct and proxied transcripts stay byte-identical.
+inline constexpr std::string_view kServerVersion = "rp-memcache 1.0";
+
 // Protocol-mandated wording for incr/decr on a non-numeric value.
 inline constexpr std::string_view kNonNumericMessage =
     "cannot increment or decrement non-numeric value";

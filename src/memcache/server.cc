@@ -98,6 +98,9 @@ bool Server::Start() {
       return FailStart("epoll_ctl(listen)");
     }
   }
+  for (auto& worker : workers_) {
+    worker->agent = handler_->AttachWorker(*worker);
+  }
   stopping_.store(false, std::memory_order_release);
   for (auto& worker : workers_) {
     Worker& w = *worker;
@@ -159,6 +162,14 @@ void Server::WorkerLoop(Worker& worker) {
                               : std::min(timeout, std::max(1, until));
       }
     }
+    if (worker.agent != nullptr) {
+      const std::int64_t deadline = worker.agent->NextDeadlineMs();
+      if (deadline != 0) {
+        const int until = static_cast<int>(
+            std::max<std::int64_t>(0, deadline - MonotonicMs()));
+        timeout = timeout < 0 ? until : std::min(timeout, until);
+      }
+    }
     const int n =
         ::epoll_wait(worker.epoll_fd, events.data(), events.size(), timeout);
     if (stopping_.load(std::memory_order_acquire)) {
@@ -183,7 +194,10 @@ void Server::WorkerLoop(Worker& worker) {
       }
       auto it = worker.connections.find(fd);
       if (it == worker.connections.end()) {
-        continue;  // closed earlier in this same batch
+        if (worker.agent != nullptr) {
+          worker.agent->OnEvent(fd, events[i].events);  // ignores strangers
+        }
+        continue;  // else closed earlier in this same batch
       }
       Connection& conn = *it->second;
       bool alive = true;
@@ -203,13 +217,20 @@ void Server::WorkerLoop(Worker& worker) {
         UpdateInterest(worker, conn);
       }
     }
+    if (worker.agent != nullptr) {
+      worker.agent->Expire(MonotonicMs());
+      ResumeWoken(worker);
+      worker.agent->Flush();
+    }
     if (options_.idle_timeout.count() > 0) {
       SweepIdle(worker);
     }
   }
   // Graceful shutdown: closing each connection here, on the owning thread,
-  // keeps the single-threaded ownership invariant to the very end.
+  // keeps the single-threaded ownership invariant to the very end. The
+  // connections abandon their parked requests before the agent goes.
   worker.connections.clear();
+  worker.agent.reset();
 }
 
 void Server::AcceptReady(Worker& worker) {
@@ -248,8 +269,9 @@ void Server::AcceptReady(Worker& worker) {
     counters_.total.fetch_add(1, std::memory_order_relaxed);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>(
-        fd, *handler_, options_.write_high_water, &counters_);
+    auto conn = std::make_unique<Connection>(fd, *handler_, worker.agent.get(),
+                                             options_.write_high_water,
+                                             &counters_);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -259,6 +281,33 @@ void Server::AcceptReady(Worker& worker) {
     conn->set_registered_events(EPOLLIN);
     worker.connections.emplace(fd, std::move(conn));
   }
+}
+
+void Server::Worker::Watch(int fd, std::uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev) < 0 && errno == ENOENT) {
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
+  }
+}
+
+void Server::ResumeWoken(Worker& worker) {
+  // Resume never releases parked responses itself, so nothing joins the
+  // list while it is walked. A connection closed since it woke is gone
+  // from the map; one that woke twice resumes twice, harmlessly.
+  for (const int fd : worker.woken) {
+    const auto it = worker.connections.find(fd);
+    if (it == worker.connections.end()) {
+      continue;
+    }
+    if (!it->second->Resume()) {
+      worker.connections.erase(it);
+    } else {
+      UpdateInterest(worker, *it->second);
+    }
+  }
+  worker.woken.clear();
 }
 
 void Server::UpdateInterest(Worker& worker, Connection& conn) {
@@ -286,7 +335,10 @@ void Server::SweepIdle(Worker& worker) {
   const std::int64_t limit = options_.idle_timeout.count();
   for (auto it = worker.connections.begin();
        it != worker.connections.end();) {
-    if (now - it->second->last_active_ms() >= limit) {
+    // A connection with parked requests is waiting on the handler, not
+    // idle; the handler's own deadlines bound that wait.
+    if (now - it->second->last_active_ms() >= limit &&
+        !it->second->has_parked()) {
       it = worker.connections.erase(it);
     } else {
       ++it;

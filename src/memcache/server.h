@@ -8,6 +8,13 @@
 // input/output buffering, pipelining and write backpressure live in
 // Connection (connection.h); this class owns the sockets, the workers,
 // idle eviction, the connection cap, and graceful eventfd shutdown.
+//
+// A handler that answers some requests only after I/O of its own (the
+// cluster proxy) attaches an agent to each worker
+// (RequestHandler::AttachWorker). The agent's sockets live in the same
+// epoll, its events and deadlines run on the worker's thread, and a
+// request waiting on them is parked on its connection, so the worker
+// never blocks on the handler's I/O.
 #ifndef RP_MEMCACHE_SERVER_H_
 #define RP_MEMCACHE_SERVER_H_
 
@@ -77,10 +84,16 @@ class Server {
   }
 
  private:
-  struct Worker {
+  struct Worker final : WorkerContext {
+    void Watch(int fd, std::uint32_t events) override;
+    void Wake(Connection& conn) override { woken.push_back(conn.fd()); }
+
     int epoll_fd = -1;
     int wake_fd = -1;  // eventfd: Stop() pokes it to break epoll_wait
     std::thread thread;
+    // The handler's side on this worker; null for a synchronous handler.
+    // Declared before `connections`, so it outlives them.
+    std::unique_ptr<WorkerAgent> agent;
     // fd → connection; touched only by this worker's thread.
     std::unordered_map<int, std::unique_ptr<Connection>> connections;
     // Non-zero while the listen fd is muted in this worker's epoll after
@@ -88,12 +101,14 @@ class Server {
     // monotonic-ms deadline instead of spinning on the ready event.
     std::int64_t relisten_at_ms = 0;
     std::int64_t next_sweep_ms = 0;  // idle sweeps run at most once per wait
+    std::vector<int> woken;  // fds of connections that released responses
   };
 
   void WorkerLoop(Worker& worker);
   void AcceptReady(Worker& worker);
   void UpdateInterest(Worker& worker, Connection& conn);
   void SweepIdle(Worker& worker);
+  void ResumeWoken(Worker& worker);
   bool FailStart(const std::string& what);
 
   std::unique_ptr<EngineHandler> owned_handler_;  // engine-ctor form only

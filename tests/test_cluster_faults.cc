@@ -5,13 +5,19 @@
 // A slow backend (accepts, never answers) is bounded by io_timeout. Ring
 // rebalance (AddNode/RemoveNode) runs under concurrent proxy traffic, with
 // the measured key movement bounded the way consistent hashing promises.
+// Behind a proxy Server, a wedged backend delays only the requests routed
+// to it: other clients on the same worker keep their latency, a client's
+// pipelined responses still leave in order, and a client that closes with
+// requests in flight leaves nothing behind.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -63,6 +69,176 @@ std::string Get(ClusterProxy& proxy, const std::vector<std::string>& keys) {
   request.keys = keys;
   return Execute(proxy, request);
 }
+
+// A "backend" that accepts connections (the kernel completes them into
+// the backlog) and never answers. Returns the listening fd; *port gets its
+// ephemeral port.
+int SilentListener(std::uint16_t* port) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd < 0) {
+    return -1;
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t len = sizeof(addr);
+  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(listen_fd, 128) != 0 ||
+      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
+          0) {
+    ::close(listen_fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return listen_fd;
+}
+
+// Blocking loopback client of a proxy Server, with a 10 s receive timeout
+// so a stalled proxy fails the test instead of hanging it.
+class Client {
+ public:
+  explicit Client(std::uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    timeval timeout{10, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~Client() { Close(); }
+
+  bool connected() const { return connected_; }
+
+  void Send(const std::string& wire) {
+    std::size_t sent = 0;
+    while (sent < wire.size()) {
+      const ssize_t n = ::send(fd_, wire.data() + sent, wire.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) {
+        ADD_FAILURE() << "send failed";
+        return;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  // Reads until the bytes received hold `replies` complete replies, each
+  // ending in END, STORED or a SERVER_ERROR line.
+  std::string Read(std::size_t replies = 1) {
+    std::string acc;
+    char buf[4096];
+    while (CountReplies(acc) < replies) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) {
+        ADD_FAILURE() << "no reply; got so far: " << acc;
+        break;
+      }
+      acc.append(buf, static_cast<std::size_t>(n));
+    }
+    return acc;
+  }
+
+  std::string RoundTrip(const std::string& wire) {
+    Send(wire);
+    return Read();
+  }
+
+  // Closes with a reset (SO_LINGER 0), so the proxy sees the connection
+  // fail at once instead of draining it.
+  void Reset() {
+    linger hard{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    Close();
+  }
+  void Close() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+
+ private:
+  static std::size_t CountReplies(const std::string& acc) {
+    std::size_t count = 0;
+    std::size_t pos = 0;
+    for (std::size_t eol; (eol = acc.find("\r\n", pos)) != std::string::npos;
+         pos = eol + 2) {
+      const std::string_view line(acc.data() + pos, eol - pos);
+      if (line.starts_with("VALUE ")) {
+        eol = acc.find("\r\n", eol + 2);  // skip the data line
+        if (eol == std::string::npos) {
+          break;
+        }
+        continue;
+      }
+      if (line == "END" || line == "STORED" ||
+          line.starts_with("SERVER_ERROR")) {
+        ++count;
+      }
+    }
+    return count;
+  }
+
+  int fd_ = -1;
+  bool connected_ = false;
+};
+
+// A 1-worker proxy Server over a real backend ("real") and a silent one
+// ("wedged"), with one key owned by each.
+class WedgedCluster {
+ public:
+  explicit WedgedCluster(int io_timeout_ms, int dead_retry_ms) {
+    listen_fd_ = SilentListener(&wedged_port_);
+    engine_ = MakeEngine("rp", EngineConfig{});
+    real_ = std::make_unique<Server>(*engine_, 0, ServerOptions{});
+    ClusterOptions options;
+    options.backend.io_timeout_ms = io_timeout_ms;
+    options.backend.dead_retry_ms = dead_retry_ms;
+    real_started_ = real_->Start();
+    proxy_ = std::make_unique<ClusterProxy>(
+        std::vector<BackendAddress>{{"real", real_->port()},
+                                    {"wedged", wedged_port_}},
+        options);
+    ServerOptions front;
+    front.num_workers = 1;  // every client shares the one worker
+    server_ = std::make_unique<Server>(*proxy_, 0, front);
+    for (int i = 0; wedged_key_.empty() || real_key_.empty(); ++i) {
+      const std::string key = "wk-" + std::to_string(i);
+      (proxy_->NodeNameForKey(key) == "wedged" ? wedged_key_ : real_key_) =
+          key;
+    }
+  }
+  ~WedgedCluster() {
+    server_.reset();  // the proxy must outlive its server
+    proxy_.reset();
+    real_.reset();
+    ::close(listen_fd_);
+  }
+
+  bool Start() { return listen_fd_ >= 0 && real_started_ && server_->Start(); }
+  std::uint16_t port() const { return server_->port(); }
+  const std::string& wedged_key() const { return wedged_key_; }
+  const std::string& real_key() const { return real_key_; }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t wedged_port_ = 0;
+  std::unique_ptr<CacheEngine> engine_;
+  std::unique_ptr<Server> real_;
+  bool real_started_ = false;
+  std::unique_ptr<ClusterProxy> proxy_;
+  std::unique_ptr<Server> server_;
+  std::string wedged_key_;
+  std::string real_key_;
+};
+
+constexpr const char* kWedgedError =
+    "SERVER_ERROR cluster backend wedged unavailable\r\n";
 
 // Index of the backend that owns the most keys of `keys` (to make the
 // kill hurt a multi-get).
@@ -174,20 +350,9 @@ TEST(ClusterFaults, RestartedBackendRejoinsWithItsData) {
 // the io timeout (twice, with the retry), not a hang.
 TEST(ClusterFaults, SlowBackendIsBoundedByIoTimeout) {
   // The slow "backend": a bare listener that accepts and goes silent.
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  std::uint16_t slow_port = 0;
+  const int listen_fd = SilentListener(&slow_port);
   ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 8), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  const std::uint16_t slow_port = ntohs(addr.sin_port);
 
   // A real backend next to it, so healthy traffic can be checked too.
   auto engine = MakeEngine("rp", EngineConfig{});
@@ -308,6 +473,125 @@ TEST(ClusterFaults, RebalanceUnderLoadIsBoundedAndSafe) {
   }
   EXPECT_GT(moved, 0u);
   EXPECT_LT(moved, kKeys / 2);  // ~kKeys/4 expected; generous slack
+}
+
+// The exit criterion of the non-blocking proxy: on a 1-worker proxy
+// Server, client 1 keeps asking a wedged backend (each get waits out the
+// io timeout twice, with the retry, and every get probes again) while
+// client 2, necessarily on the same worker, does 200 round trips to the
+// healthy backend. Client 2's p99 stays under 5 ms, all 200 finish inside
+// 3 s, and client 1 still gets its SERVER_ERROR within the timeout bound.
+TEST(ClusterFaults, WedgedBackendDoesNotStallOtherClients) {
+  constexpr int kIoTimeoutMs = 100;
+  WedgedCluster cluster(kIoTimeoutMs, /*dead_retry_ms=*/1);
+  ASSERT_TRUE(cluster.Start());
+  Client fast(cluster.port());
+  Client stuck(cluster.port());
+  ASSERT_TRUE(fast.connected());
+  ASSERT_TRUE(stuck.connected());
+  ASSERT_EQ(fast.RoundTrip("set " + cluster.real_key() + " 0 0 3\r\nval\r\n"),
+            "STORED\r\n");
+
+  std::atomic<bool> done{false};
+  std::vector<std::string> stuck_replies;
+  std::vector<std::int64_t> stuck_ms;
+  std::thread stuck_thread([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const std::int64_t start = rp::memcache::MonotonicMs();
+      stuck_replies.push_back(
+          stuck.RoundTrip("get " + cluster.wedged_key() + "\r\n"));
+      stuck_ms.push_back(rp::memcache::MonotonicMs() - start);
+    }
+  });
+  // Let client 1's first get reach the wedged backend.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const std::string expected =
+      "VALUE " + cluster.real_key() + " 0 3\r\nval\r\nEND\r\n";
+  const std::string probe = "get " + cluster.real_key() + "\r\n";
+  std::vector<double> latency_us;
+  const auto begin = std::chrono::steady_clock::now();
+  while (latency_us.size() < 200 &&
+         std::chrono::steady_clock::now() - begin < std::chrono::seconds(3)) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::string reply = fast.RoundTrip(probe);
+    latency_us.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+    ASSERT_EQ(reply, expected);
+  }
+  done.store(true, std::memory_order_relaxed);
+  stuck_thread.join();
+
+  std::sort(latency_us.begin(), latency_us.end());
+  const double p99 = latency_us[latency_us.size() * 99 / 100];
+  EXPECT_EQ(latency_us.size(), 200u) << "p99 " << p99 << " us";
+  EXPECT_LT(p99, 5000.0) << latency_us.size() << " round trips";
+  ASSERT_FALSE(stuck_replies.empty());
+  for (std::size_t i = 0; i < stuck_replies.size(); ++i) {
+    EXPECT_EQ(stuck_replies[i], kWedgedError);
+    // Two io timeouts (first try and retry), plus scheduling slack.
+    EXPECT_LT(stuck_ms[i], 2 * kIoTimeoutMs + 1000);
+  }
+}
+
+// A client's pipelined responses leave in request order even when the
+// first waits on a wedged backend and the second is answered at once.
+TEST(ClusterFaults, ParkedResponsesLeaveInPipelineOrder) {
+  WedgedCluster cluster(/*io_timeout_ms=*/100, /*dead_retry_ms=*/1);
+  ASSERT_TRUE(cluster.Start());
+  Client client(cluster.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_EQ(
+      client.RoundTrip("set " + cluster.real_key() + " 0 0 3\r\nval\r\n"),
+      "STORED\r\n");
+  client.Send("get " + cluster.wedged_key() + "\r\nget " + cluster.real_key() +
+              "\r\nversion\r\nget " + cluster.real_key() + "\r\n");
+  const std::string value =
+      "VALUE " + cluster.real_key() + " 0 3\r\nval\r\nEND\r\n";
+  EXPECT_EQ(client.Read(3), std::string(kWedgedError) + value +
+                                "VERSION rp-memcache 1.0\r\n" + value);
+}
+
+// Clients that close with requests parked on a wedged backend and on a
+// healthy one, by FIN or by reset, leave nothing dangling: the late and
+// failed responses are dropped, and a fresh client is served correctly.
+TEST(ClusterFaults, ClientClosingWithParkedRequestsLeavesProxyHealthy) {
+  WedgedCluster cluster(/*io_timeout_ms=*/100, /*dead_retry_ms=*/1);
+  ASSERT_TRUE(cluster.Start());
+  {
+    Client setup(cluster.port());
+    ASSERT_EQ(
+        setup.RoundTrip("set " + cluster.real_key() + " 0 0 3\r\nval\r\n"),
+        "STORED\r\n");
+  }
+  std::string pipeline;
+  for (int i = 0; i < 8; ++i) {
+    pipeline += "get " + cluster.wedged_key() + "\r\nget " +
+                cluster.real_key() + "\r\nget " + cluster.wedged_key() + " " +
+                cluster.real_key() + "\r\n";
+  }
+  for (bool reset : {false, true}) {
+    Client leaver(cluster.port());
+    ASSERT_TRUE(leaver.connected());
+    leaver.Send(pipeline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (reset) {
+      leaver.Reset();
+    } else {
+      leaver.Close();
+    }
+  }
+  Client fresh(cluster.port());
+  ASSERT_TRUE(fresh.connected());
+  EXPECT_EQ(fresh.RoundTrip("get " + cluster.real_key() + "\r\n"),
+            "VALUE " + cluster.real_key() + " 0 3\r\nval\r\nEND\r\n");
+  EXPECT_EQ(fresh.RoundTrip("get " + cluster.wedged_key() + "\r\n"),
+            kWedgedError);
+  // Outlive the abandoned requests' timeouts, then check again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(fresh.RoundTrip("get " + cluster.real_key() + "\r\n"),
+            "VALUE " + cluster.real_key() + " 0 3\r\nval\r\nEND\r\n");
 }
 
 }  // namespace
