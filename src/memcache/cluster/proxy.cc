@@ -283,15 +283,11 @@ class ClusterProxy::Agent final : public WorkerAgent {
   void ExecuteStores(std::vector<Request>& requests,
                      Connection& conn) override {
     proxy_.CountStoreBurst(requests.size());
-    auto call = std::make_unique<Call>(Call::Kind::kForward);
-    call->owned = std::move(requests);
-    Start(std::move(call), conn);
+    Forward(requests, conn);
   }
   void ExecuteMetaGets(std::vector<Request>& requests,
                        Connection& conn) override {
-    auto call = std::make_unique<Call>(Call::Kind::kForward);
-    call->owned = std::move(requests);
-    Start(std::move(call), conn);
+    Forward(requests, conn);
   }
 
   void OnEvent(int fd, std::uint32_t events) override {
@@ -331,6 +327,12 @@ class ClusterProxy::Agent final : public WorkerAgent {
     std::shared_ptr<Backend> backend;  // keeps a departed member alive
     std::unique_ptr<Channel> channel;
   };
+
+  void Forward(std::vector<Request>& requests, Connection& conn) {
+    auto call = std::make_unique<Call>(Call::Kind::kForward);
+    call->owned = std::move(requests);
+    Start(std::move(call), conn);
+  }
 
   // Submits the call's parts; parks it on `conn` unless every part has
   // already failed, in which case it answers at once.

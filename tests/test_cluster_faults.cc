@@ -594,5 +594,45 @@ TEST(ClusterFaults, ClientClosingWithParkedRequestsLeavesProxyHealthy) {
             "VALUE " + cluster.real_key() + " 0 3\r\nval\r\nEND\r\n");
 }
 
+// Topology changes reach clients of a proxy Server: a member added while
+// the worker serves takes its keys over the worker's new channel, and once
+// it is removed again its keys route back and the worker closes its
+// connection to the departed member.
+TEST(ClusterFaults, TopologyChangesReachServedClients) {
+  LocalCluster cluster(FastFaultOptions(3));
+  ASSERT_TRUE(cluster.Start()) << cluster.error();
+  ClusterProxy& proxy = cluster.proxy();
+  auto extra_engine = MakeEngine("rp", EngineConfig{});
+  Server extra_server(*extra_engine, 0, ServerOptions{});
+  ASSERT_TRUE(extra_server.Start()) << extra_server.error();
+
+  Client client(cluster.proxy_port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(proxy.AddNode({"extra", extra_server.port()}));
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "tk-" + std::to_string(i);
+    if (proxy.NodeNameForKey(candidate) == "extra") {
+      key = candidate;
+    }
+  }
+  EXPECT_EQ(client.RoundTrip("set " + key + " 0 0 3\r\nval\r\n"),
+            "STORED\r\n");
+  EXPECT_EQ(client.RoundTrip("get " + key + "\r\n"),
+            "VALUE " + key + " 0 3\r\nval\r\nEND\r\n");
+  EXPECT_EQ(extra_engine->ItemCount(), 1u);
+  EXPECT_EQ(extra_server.current_connections(), 1u);
+
+  ASSERT_TRUE(proxy.RemoveNode("extra"));
+  // The key's old owner never stored it.
+  EXPECT_EQ(client.RoundTrip("get " + key + "\r\n"), "END\r\n");
+  const std::int64_t deadline = rp::memcache::MonotonicMs() + 2000;
+  while (extra_server.current_connections() != 0 &&
+         rp::memcache::MonotonicMs() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(extra_server.current_connections(), 0u);
+}
+
 }  // namespace
 }  // namespace rp::memcache::cluster
