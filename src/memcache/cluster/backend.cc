@@ -48,13 +48,13 @@ Channel::~Channel() {
 }
 
 void Channel::Submit(const Request& request, ResponseSink* sink,
-                     std::uint32_t part) {
+                     std::uint32_t part, std::int64_t now_ms) {
   const std::size_t before = wire_.size();
   AppendRequestWire(&wire_, request, /*strip_quiet=*/true);
   pending_.push_back(
       Pending{&request, sink, part,
               static_cast<std::uint32_t>(wire_.size() - before),
-              MonotonicMs() + backend_.options().io_timeout_ms, false});
+              now_ms + backend_.options().io_timeout_ms, false});
 }
 
 void Channel::Arm(std::uint32_t events) {

@@ -79,9 +79,11 @@ class Channel {
   bool idle() const { return pending_.empty(); }
 
   // Queues `request` for sink->Deliver(part, ...), re-serialized with
-  // q/noreply stripped so a response always comes. `request` must stay
-  // valid until then. Nothing is sent before Flush.
-  void Submit(const Request& request, ResponseSink* sink, std::uint32_t part);
+  // q/noreply stripped so a response always comes; its io deadline runs
+  // from now_ms. `request` must stay valid until then. Nothing is sent
+  // before Flush.
+  void Submit(const Request& request, ResponseSink* sink, std::uint32_t part,
+              std::int64_t now_ms);
   // Connects if needed and sends what is queued, as far as the socket
   // takes it.
   void Flush();

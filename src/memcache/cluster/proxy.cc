@@ -563,7 +563,7 @@ void ClusterProxy::Launch(Call& call, ChannelFor&& channel_for) {
     if (groups[g].channel != nullptr) {
       ++call.outstanding;
       groups[g].channel->Submit(*call.parts[i].request, &call,
-                                static_cast<std::uint32_t>(i));
+                                static_cast<std::uint32_t>(i), now);
     }
   }
   forwards_.fetch_add(groups.size(), std::memory_order_relaxed);
