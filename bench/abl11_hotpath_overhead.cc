@@ -119,7 +119,7 @@ BENCHMARK(BM_LookupStringSingleHash);
 // -- Per-key vs batched read-side sections ------------------------------------
 
 // Both sides use Prehashed lookups, so the measured difference is purely
-// the epoch enter/exit amortization (two full fences per outermost section
+// the epoch enter/exit amortization (one full fence per outermost section
 // on the Epoch flavour).
 
 void BM_EpochSectionPerKey(benchmark::State& state) {
@@ -133,7 +133,7 @@ void BM_EpochSectionPerKey(benchmark::State& state) {
   for (auto _ : state) {
     for (std::size_t k = 0; k < kBatch; ++k) {
       const std::size_t i = rng.NextBounded(kKeys);
-      // Each Contains opens and closes its own section: 2 fences per key.
+      // Each Contains opens and closes its own section: 1 fence per key.
       benchmark::DoNotOptimize(
           map.Contains(rp::core::Prehashed{hashes[i]}, keys[i]));
     }

@@ -1,7 +1,7 @@
 // A1 — read-side primitive cost per synchronization scheme.
 //
 // Measures the per-operation cost of the read-side critical section for:
-// Epoch RCU (two fences), QSBR (free), the centralized rwlock, a
+// Epoch RCU (one fence, on entry), QSBR (free), the centralized rwlock, a
 // std::shared_mutex, and a plain mutex. This quantifies the "synchronization
 // = waiting" argument from the talk's opening: even uncontended lock
 // acquisitions pay atomic RMW latency that RCU readers do not.

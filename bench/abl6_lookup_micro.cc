@@ -1,6 +1,6 @@
 // A6 — single-threaded lookup latency microbenchmark across tables
 // (google-benchmark): isolates per-lookup instruction cost from scaling
-// effects. RP lookups pay two fences (Epoch) or none (QSBR) plus the chain
+// effects. RP lookups pay one fence (Epoch) or none (QSBR) plus the chain
 // walk; lock-based tables pay an atomic RMW pair.
 #include <benchmark/benchmark.h>
 

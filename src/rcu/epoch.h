@@ -1,10 +1,11 @@
-// Epoch RCU domain (urcu-mb style general-purpose userspace RCU).
+// Epoch RCU domain (general-purpose userspace RCU, urcu-mb lineage).
 //
 // This is the flavour the relativistic data structures default to. Readers
 // need no registration ahead of time, may block inside read sections, and
-// pay two full memory fences per outermost section — the same cost profile
-// as liburcu's memory-barrier flavour, which the paper's memcached port
-// used. Writers wait; readers never do.
+// pay one full memory fence per outermost section (on entry); leaving a
+// section is a plain release store. liburcu's memory-barrier flavour, which
+// the paper's memcached port used, pays a second fence on exit. Writers
+// wait; readers never do.
 //
 // Protocol. A global grace-period counter `gp` advances by 2 per grace
 // period (values always even). Each reader thread owns a cache-line-private
@@ -12,13 +13,25 @@
 // (odd) inside one. Synchronize() bumps `gp` and waits until every record is
 // either 0 (offline) or holds a snapshot taken after the bump.
 //
-// Memory ordering is the store-buffering resolution used by urcu-mb: the
-// reader stores its snapshot then fences (seq_cst) before touching shared
-// data; the writer's counter bump (seq_cst RMW) sits between its data-
-// structure update and its scan of reader records. If the scan misses a
-// reader's store, C++'s total order on seq_cst operations forces that
-// reader's subsequent data loads to observe the writer's update — so no
-// reader can simultaneously be hidden from the scan *and* see stale data.
+// Memory ordering, entry side: the store-buffering resolution used by
+// urcu-mb. The reader stores its snapshot then fences (seq_cst) before
+// touching shared data; the writer's counter bump (seq_cst RMW, or SmpMb in
+// Poll) sits between its data-structure update and its scan of reader
+// records. If the scan misses a reader's store, C++'s total order on
+// seq_cst operations forces that reader's subsequent data loads to observe
+// the writer's update — so no reader can simultaneously be hidden from the
+// scan *and* see stale data. This is the one fence a section pays, and it
+// must be a real fence: a release store alone cannot stop the section's
+// first loads from passing the snapshot store still in the store buffer.
+//
+// Exit side: only release is needed. The section's loads and stores are
+// sequenced before `ctr.store(0, release)`. The writer's scan loads `ctr`
+// with acquire; when it reads that 0 — or any later section's snapshot,
+// itself a release store later in the same thread — it synchronizes with
+// the store, so the whole section happens-before the scan's end and hence
+// before the caller frees anything. Nothing on this side is a
+// store-then-load pattern, so no fence is required; on x86 the release
+// store is a plain mov (loads are never reordered with later stores).
 #ifndef RP_RCU_EPOCH_H_
 #define RP_RCU_EPOCH_H_
 
@@ -57,9 +70,9 @@ class Epoch {
     ThreadRecord* self = Self();
     assert(self->nesting > 0 && "ReadUnlock without matching ReadLock");
     if (--self->nesting == 0) {
-      SmpMb();  // order critical-section loads before going quiescent
-      // Release for the same reason as in ReadLock: the writer passing this
-      // record on its scan must inherit everything this section read.
+      // Release alone orders the section's loads and stores before the
+      // record goes quiescent: the writer's acquire scan that reads this 0
+      // inherits everything the section did (see the header comment).
       self->ctr.store(0, std::memory_order_release);
     }
   }

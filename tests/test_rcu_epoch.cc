@@ -1,4 +1,4 @@
-// Tests for the Epoch (urcu-mb style) RCU domain.
+// Tests for the Epoch RCU domain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +9,8 @@
 #include "src/rcu/epoch.h"
 #include "src/rcu/guard.h"
 #include "src/rcu/rcu_pointer.h"
+#include "src/util/compiler.h"
+#include "src/util/rng.h"
 
 namespace rp::rcu {
 namespace {
@@ -179,6 +181,92 @@ TEST(Epoch, UnlinkSynchronizeFreeIsSafe) {
   delete shared.load();
   EXPECT_FALSE(saw_dead.load());
   EXPECT_GT(reads.load(), 0u);
+}
+
+// The store-buffering half of the protocol: ReadLock's snapshot store must
+// be visible before the section's first data load, or Synchronize() could
+// scan past a reader that already holds the pre-update value. Each round a
+// reader enters a section and loads `data` while the writer stores a new
+// value and synchronizes. The writer's random delay is the wider one, so
+// about half the rounds read the old value, across a sweep of overlaps. A
+// reader that saw the old value must not see the writer's grace period end
+// while it is still inside. It polls `done` only for a bounded while, since
+// on a correct domain the writer is blocked on it meanwhile.
+TEST(Epoch, SynchronizeWaitsOutReaderThatSawOldValue) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "store buffering needs reader and writer on two CPUs";
+  }
+  constexpr std::uint64_t kRounds = 200000;
+  constexpr int kDonePolls = 64;
+  constexpr auto kBudget = std::chrono::seconds(3);
+  struct Shared {
+    alignas(64) std::atomic<std::uint64_t> start{0};
+    alignas(64) std::atomic<std::uint64_t> finished{0};
+    alignas(64) std::atomic<std::uint64_t> data{0};
+    alignas(64) std::atomic<std::uint64_t> done{0};
+  } s;
+  // Spin briefly, then yield: a round must not stall for a whole time slice
+  // when the partner thread shares a CPU with other tests.
+  auto wait_for = [](const std::atomic<std::uint64_t>& a, std::uint64_t v) {
+    for (int spins = 0; a.load(std::memory_order_acquire) < v; ++spins) {
+      if (spins < 256) {
+        CpuRelax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  };
+  auto delay = [](Xoshiro256& rng, std::uint64_t bound) {
+    for (std::uint64_t i = rng.NextBounded(bound); i > 0; --i) {
+      CompilerBarrier();
+    }
+  };
+
+  std::atomic<std::uint64_t> stale_reads{0};
+  std::atomic<std::uint64_t> violations{0};
+  std::thread reader([&] {
+    Xoshiro256 rng(7);
+    Epoch::RegisterThread();
+    for (std::uint64_t round = 1;; ++round) {
+      wait_for(s.start, round);
+      if (s.start.load(std::memory_order_relaxed) == ~0ULL) {
+        return;
+      }
+      delay(rng, 16);
+      Epoch::ReadLock();
+      if (s.data.load(std::memory_order_relaxed) < round) {
+        stale_reads.fetch_add(1, std::memory_order_relaxed);
+        for (int i = 0; i < kDonePolls; ++i) {
+          if (s.done.load(std::memory_order_relaxed) >= round) {
+            violations.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+          CpuRelax();
+        }
+      }
+      Epoch::ReadUnlock();
+      s.finished.store(round, std::memory_order_release);
+    }
+  });
+
+  Xoshiro256 rng(11);
+  const auto deadline = std::chrono::steady_clock::now() + kBudget;
+  std::uint64_t rounds = 0;
+  while (rounds < kRounds && std::chrono::steady_clock::now() < deadline) {
+    const std::uint64_t round = ++rounds;
+    s.start.store(round, std::memory_order_release);
+    delay(rng, 1024);
+    s.data.store(round, std::memory_order_relaxed);
+    Epoch::Synchronize();
+    s.done.store(round, std::memory_order_relaxed);
+    wait_for(s.finished, round);
+  }
+  s.start.store(~0ULL, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(violations.load(), 0u)
+      << violations.load() << " of " << stale_reads.load()
+      << " stale reads outlived the grace period, in " << rounds << " rounds";
 }
 
 TEST(Epoch, PointerPublicationOrdersInitialization) {
