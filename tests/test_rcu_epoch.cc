@@ -222,8 +222,9 @@ TEST(Epoch, SynchronizeWaitsOutReaderThatSawOldValue) {
     }
   };
 
-  std::atomic<std::uint64_t> stale_reads{0};
-  std::atomic<std::uint64_t> violations{0};
+  // Written by the reader only; read after join().
+  std::uint64_t stale_reads = 0;
+  std::uint64_t violations = 0;
   std::thread reader([&] {
     Xoshiro256 rng(7);
     Epoch::RegisterThread();
@@ -235,10 +236,10 @@ TEST(Epoch, SynchronizeWaitsOutReaderThatSawOldValue) {
       delay(rng, 16);
       Epoch::ReadLock();
       if (s.data.load(std::memory_order_relaxed) < round) {
-        stale_reads.fetch_add(1, std::memory_order_relaxed);
+        ++stale_reads;
         for (int i = 0; i < kDonePolls; ++i) {
           if (s.done.load(std::memory_order_relaxed) >= round) {
-            violations.fetch_add(1, std::memory_order_relaxed);
+            ++violations;
             break;
           }
           CpuRelax();
@@ -264,8 +265,8 @@ TEST(Epoch, SynchronizeWaitsOutReaderThatSawOldValue) {
   s.start.store(~0ULL, std::memory_order_release);
   reader.join();
 
-  EXPECT_EQ(violations.load(), 0u)
-      << violations.load() << " of " << stale_reads.load()
+  EXPECT_EQ(violations, 0u)
+      << violations << " of " << stale_reads
       << " stale reads outlived the grace period, in " << rounds << " rounds";
 }
 
