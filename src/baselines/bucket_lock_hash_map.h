@@ -31,7 +31,8 @@ class BucketLockHashMap {
   using mapped_type = T;
 
   explicit BucketLockHashMap(std::size_t initial_buckets = 16)
-      : buckets_(core::CeilPowerOfTwo(std::max(initial_buckets, NumStripes))) {}
+      : buckets_(core::CeilPowerOfTwo(std::max(initial_buckets, NumStripes))),
+        bucket_count_(buckets_.size()) {}
 
   BucketLockHashMap(const BucketLockHashMap&) = delete;
   BucketLockHashMap& operator=(const BucketLockHashMap&) = delete;
@@ -122,6 +123,7 @@ class BucketLockHashMap {
         }
       }
       buckets_.swap(fresh);
+      bucket_count_.store(n, std::memory_order_relaxed);
     }
     for (auto it = stripes_.rbegin(); it != stripes_.rend(); ++it) {
       it->unlock();
@@ -133,8 +135,9 @@ class BucketLockHashMap {
   }
 
   [[nodiscard]] std::size_t BucketCount() const {
-    // Stable except during Resize, which excludes all accessors.
-    return buckets_.size();
+    // Mirrored: a ResizeWorker's Nudge reads it on a writer thread, outside
+    // the stripes, while Resize may be swapping the vector.
+    return bucket_count_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -164,6 +167,7 @@ class BucketLockHashMap {
   }
 
   std::vector<Node*> buckets_;
+  std::atomic<std::size_t> bucket_count_;
   std::atomic<std::size_t> count_{0};
   mutable std::array<sync::PaddedSpinlock, NumStripes> stripes_;
 };

@@ -8,11 +8,17 @@
 // public API: construct the map with auto_resize = false and attach a
 // worker.
 //
-// The worker wakes on a writer hint (Nudge) or a periodic tick, compares
-// the observed load factor against the grow/shrink thresholds with
-// hysteresis, and calls Resize. Readers are oblivious throughout — that is
-// the point of the paper's algorithm — and writers only ever pay a relaxed
-// load + occasional notify.
+// The worker wakes on a periodic poll tick, or on a writer hint (Nudge)
+// that finds the load factor outside the [shrink_at, grow_at] band, and
+// resizes to the bucket count the load factor asks for. Readers are
+// oblivious throughout — that is the point of the paper's algorithm.
+//
+// Like the kernel, which schedules its worker only when an insert crosses
+// rht_grow_above_75 or a remove crosses rht_shrink_below_30, a nudge in
+// the band returns after reading Size() and BucketCount(): it touches
+// neither the worker's lock nor its condition variable. The owner's
+// maintenance tick therefore runs at poll cadence, plus once per
+// out-of-band wakeup.
 //
 // For maps using deferred (call_rcu-style) reclamation the worker also
 // flushes the map's pending retirements (FlushDeferred, detected by
@@ -47,18 +53,23 @@ struct ResizeWorkerOptions {
   double shrink_at = 0.25;
   // Never shrink below this many buckets.
   std::size_t min_buckets = 16;
-  // Periodic re-check interval when no writer nudges arrive.
+  // Periodic re-check interval. In-band nudges wake nothing, so this is
+  // also the cadence of maintenance_tick.
   std::chrono::milliseconds poll_interval{50};
-  // Invoked once per worker wakeup (nudge or poll tick), outside the
-  // worker's own lock and after the resize check. The owner piggybacks its
-  // maintenance plane on this thread — slab automove and expired-item
-  // crawling — instead of paying a second periodic thread per shard. Must be cheap and must not block on
-  // writer-held locks for long; it runs at poll_interval cadence.
+  // Invoked once per worker wakeup, outside the worker's own lock and
+  // after the resize check. Wakeups are poll ticks plus the rare nudges
+  // that find the load factor out of band, so the tick runs at about
+  // poll_interval cadence. The owner piggybacks its maintenance plane on
+  // this thread — slab automove and expired-item crawling — instead of
+  // paying a second periodic thread per shard. Must be cheap and must not
+  // block on writer-held locks for long.
   std::function<void()> maintenance_tick;
 };
 
 // Map must expose Size(), BucketCount() and Resize(std::size_t) — RpHashMap
-// and every resizable baseline in this repository qualify.
+// and every resizable baseline in this repository qualify. Size() and
+// BucketCount() must be safe to call while Resize runs: Nudge reads them on
+// the writer's thread.
 template <typename Map>
 class ResizeWorker {
  public:
@@ -71,9 +82,15 @@ class ResizeWorker {
   ~ResizeWorker() { Stop(); }
 
   // Writer-side hint that the load factor may have moved; cheap enough to
-  // call on every insert/erase. Coalesces: a pending nudge absorbs later
-  // ones until the worker runs.
+  // call on every insert/erase. Wakes the worker only when the load factor
+  // has left the band; in the band it costs two reads of the map's
+  // counters (RpHashMap: two atomic loads). Coalesces: a pending nudge
+  // absorbs later ones until the worker runs.
   void Nudge() {
+    const std::size_t buckets = map_.BucketCount();
+    if (Target(buckets) == buckets) {
+      return;  // in the band: nothing for the worker to do
+    }
     if (nudged_.exchange(true, std::memory_order_relaxed)) {
       return;  // worker already has a wakeup pending
     }
@@ -103,6 +120,12 @@ class ResizeWorker {
     return resizes_.load(std::memory_order_relaxed);
   }
 
+  // Test hook: passes through the worker loop (poll ticks plus woken
+  // nudges), each of which runs the resize check and the maintenance tick.
+  [[nodiscard]] std::uint64_t Wakeups() const {
+    return wakeups_.load(std::memory_order_relaxed);
+  }
+
  private:
   void Run() {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -113,6 +136,7 @@ class ResizeWorker {
         return;
       }
       nudged_.store(false, std::memory_order_relaxed);
+      wakeups_.fetch_add(1, std::memory_order_relaxed);
       // Resize outside the lock so Nudge/Stop never block behind a grace
       // period; a nudge arriving mid-resize re-wakes us immediately.
       lock.unlock();
@@ -125,8 +149,23 @@ class ResizeWorker {
   }
 
   void MaybeResize() {
-    const std::size_t size = map_.Size();
     const std::size_t buckets = map_.BucketCount();
+    const std::size_t target = Target(buckets);
+    if (target != buckets) {
+      map_.Resize(target);
+      resizes_.fetch_add(1, std::memory_order_relaxed);
+      if constexpr (HasFlushDeferred<Map>) {
+        map_.FlushDeferred();
+      }
+    }
+  }
+
+  // The bucket count the current load factor asks for: `buckets` itself
+  // while size/buckets stays within [shrink_at, grow_at] (or a shrink is
+  // floored by min_buckets). Shared by Nudge's gate and MaybeResize, so a
+  // nudge wakes the worker exactly when the worker would resize.
+  std::size_t Target(std::size_t buckets) const {
+    const std::size_t size = map_.Size();
     const double load =
         static_cast<double>(size) / static_cast<double>(buckets);
     std::size_t target = buckets;
@@ -154,13 +193,7 @@ class ResizeWorker {
       // spin no-op all-stripe resizes forever.
       target = CeilPowerOfTwo(target);
     }
-    if (target != buckets) {
-      map_.Resize(target);
-      resizes_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (HasFlushDeferred<Map>) {
-        map_.FlushDeferred();
-      }
-    }
+    return target;
   }
 
   Map& map_;
@@ -170,6 +203,7 @@ class ResizeWorker {
   std::atomic<bool> nudged_{false};
   bool stopped_ = false;
   std::atomic<std::uint64_t> resizes_{0};
+  std::atomic<std::uint64_t> wakeups_{0};
   std::thread thread_;  // last member: starts after everything is ready
 };
 

@@ -44,8 +44,10 @@ core::ResizeWorkerOptions WorkerOptions(std::size_t shard_buckets,
   core::ResizeWorkerOptions options;
   // Never shrink below the operator-provisioned initial capacity.
   options.min_buckets = std::max<std::size_t>(shard_buckets, 16);
-  // Growth is nudge-driven (stores/deletes wake the worker immediately);
-  // the poll is only a shrink backstop. Scale it by the shard count so the
+  // Growth is nudge-driven: a store or delete that leaves the load factor
+  // out of band wakes the worker at once, and an in-band nudge wakes
+  // nothing. The poll is the shrink backstop and the maintenance tick's
+  // cadence (automove, crawl). Scale it by the shard count so the
   // engine-wide wakeup rate stays constant as shards multiply — 8 idle
   // workers each polling at 10ms would burn ~1% of a small box on context
   // switches alone.
@@ -1116,8 +1118,9 @@ void RpEngine::FlushAll(std::int64_t delay_seconds) {
 // -- Maintenance plane ----------------------------------------------------
 //
 // One tick per shard, piggybacked on the shard's resize-worker wakeup (and
-// runnable synchronously through RunMaintenanceTick). The tick hosts slab
-// automove and the expired-item crawl.
+// runnable synchronously through RunMaintenanceTick), so it runs at the
+// worker's poll cadence plus its rare out-of-band wakeups. The tick hosts
+// slab automove and the expired-item crawl.
 
 void RpEngine::RunMaintenanceTick(std::size_t shard_index) {
   MaintenanceTick(*shards_[shard_index]);
@@ -1204,6 +1207,14 @@ std::size_t RpEngine::EvictionQueueDepth() const {
   for (const auto& shard : shards_) {
     std::lock_guard<StoreMutex> lock(shard->store_mutex);
     total += shard->fifo.size();
+  }
+  return total;
+}
+
+std::uint64_t RpEngine::ResizeWorkerWakeups() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->resize_worker.Wakeups();
   }
   return total;
 }

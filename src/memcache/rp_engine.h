@@ -112,6 +112,11 @@ class RpEngine final : public CacheEngine {
   // so pops stay within a small multiple of evictions plus reclaims.
   std::uint64_t EvictionSweepPops() const;
 
+  // Total passes through the shards' resize-worker loops (poll ticks plus
+  // woken nudges). Test hook for the nudge gate: stores that leave every
+  // shard's load factor in band must not wake a worker.
+  std::uint64_t ResizeWorkerWakeups() const;
+
   // Runs one maintenance tick for `shard_index` synchronously on the
   // calling thread — exactly what the shard's resize worker runs every
   // poll. Test/bench hook: call this, and the automove step and the crawl

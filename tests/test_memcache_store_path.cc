@@ -15,12 +15,16 @@
 //     between the embedded region and an owned payload chunk.
 //  5. A store into a dry slab class takes the charged heap fallback; it
 //     neither evicts for the class nor waits for a grace period.
+//  6. A store burst that leaves every shard's load factor in band wakes no
+//     resize worker: the per-group nudge returns before the worker's lock.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/memcache/locked_engine.h"
@@ -304,6 +308,32 @@ TEST(StorePathLocking, DryClassStoreFallsBackWithoutWaiting) {
   StoredValue out;
   ASSERT_TRUE(engine.Get(keys[0], &out));
   EXPECT_EQ(out.data, value);
+}
+
+// Pre-sized shards keep a burst's load factor in band (a table never
+// shrinks below its initial size), so none of the burst's nudges may wake a
+// worker. The engine polls each worker every 10 ms x shards; a slow run
+// that outlasts a poll interval is allowed the ticks it spanned, and no
+// more.
+TEST(StorePathWakeups, InBandStoreBurstWakesNoResizeWorker) {
+  EngineConfig config;
+  config.shards = 16;
+  config.initial_buckets = 16 * 1024;  // 1024 buckets per shard
+  const auto poll = std::chrono::milliseconds(10 * 16);
+  const auto start = std::chrono::steady_clock::now();
+  RpEngine engine(config);
+  const std::uint64_t before = engine.ResizeWorkerWakeups();
+  for (int i = 0; i < 2048; ++i) {  // ~128 inserts per shard, each nudging
+    ASSERT_EQ(engine.Set("burst-" + std::to_string(i), "v", 0, 0),
+              StoreResult::kStored);
+  }
+  // Give a wrongly woken worker time to run and count its pass.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t woken = engine.ResizeWorkerWakeups() - before;
+  const auto polls = (std::chrono::steady_clock::now() - start) / poll;
+  EXPECT_LE(woken, config.shards * static_cast<std::uint64_t>(polls))
+      << "in-band nudges woke a resize worker";
+  EXPECT_EQ(engine.BucketCount(), config.initial_buckets);
 }
 
 // ---------------------------------------------------------------------------

@@ -44,8 +44,11 @@ TEST(ResizeWorker, GrowsOverloadedTable) {
     map.Insert(k, k);
     worker.Nudge();
   }
-  // 1000 entries at grow_at=2.0 needs ≥512 buckets.
-  WaitUntil([&] { return map.BucketCount() >= 512; });
+  // 1000 entries at grow_at=2.0 needs ≥512 buckets. The map publishes its
+  // new bucket count before the worker counts the resize, so wait for both.
+  WaitUntil([&] {
+    return map.BucketCount() >= 512 && worker.ResizesPerformed() >= 1;
+  });
   EXPECT_GE(worker.ResizesPerformed(), 1u);
   for (std::uint64_t k = 0; k < 1000; ++k) {
     ASSERT_TRUE(map.Contains(k)) << k;
@@ -102,6 +105,37 @@ TEST(ResizeWorker, HysteresisPreventsOscillation) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_EQ(map.BucketCount(), 64u);
   EXPECT_EQ(worker.ResizesPerformed(), 0u);
+}
+
+TEST(ResizeWorker, InBandNudgesDoNotWakeTheWorker) {
+  // A nudge wakes the worker only when the load factor has left the band,
+  // as the kernel's rhashtable schedules its worker only past
+  // rht_grow_above_75 / rht_shrink_below_30. The poll is far beyond the
+  // test's run time, so every wakeup counted here comes from a nudge.
+  Map map(64, ManualResize());
+  ResizeWorkerOptions options;
+  options.poll_interval = std::chrono::seconds(10);
+  options.min_buckets = 64;  // the empty table is not a shrink candidate
+  ResizeWorker<Map> worker(map, options);
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    map.Insert(k, k);
+    worker.Nudge();  // load factor at most 1.0: inside [0.25, 2.0]
+  }
+  // Give a wrongly woken worker time to run and count its pass.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(worker.Wakeups(), 0u);
+  EXPECT_EQ(worker.ResizesPerformed(), 0u);
+
+  // 129 entries in 64 buckets passes grow_at: only the last nudge is out
+  // of band, and it buys exactly one wakeup and one resize.
+  for (std::uint64_t k = 64; k < 129; ++k) {
+    map.Insert(k, k);
+    worker.Nudge();
+  }
+  WaitUntil([&] { return worker.ResizesPerformed() >= 1; });
+  EXPECT_EQ(map.BucketCount(), 128u);
+  EXPECT_EQ(worker.Wakeups(), 1u);
+  EXPECT_EQ(worker.ResizesPerformed(), 1u);
 }
 
 TEST(ResizeWorker, NonPowerOfTwoMinBucketsDoesNotSpinResizes) {

@@ -150,43 +150,53 @@ TEST_F(StableKeysFixture, MovedKeysAreAlwaysVisibleUnderSomeName) {
   constexpr std::uint64_t kMoverAlt = kStable + 2;
   ASSERT_TRUE(map.Insert(kMover, 777));
 
+  // Bumped after every completed Move: even while kMover -> kMoverAlt is
+  // the move in flight, odd while kMoverAlt -> kMover is.
+  std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> vanished{0};
+  std::atomic<std::uint64_t> decisive{0};
+  std::atomic<int> running{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
+      running.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
-        // Probe the alias that may disappear FIRST; if the rename were not
-        // publish-before-unlink, this ordering would catch a vanish window.
-        const bool a = map.Contains(kMover);
-        const bool b = map.Contains(kMoverAlt);
-        if (!a && !b) {
-          // A single probe pair can legitimately straddle two distinct move
-          // operations (k probed after move k->k', k' probed after the
-          // reverse move k'->k). A genuine vanish-window bug persists
-          // across re-checks, while the odds of straddling moves on every
-          // one of N independent probe pairs fall off geometrically, so
-          // re-check a few times before declaring the entry lost.
-          bool found = false;
-          for (int attempt = 0; attempt < 8 && !found; ++attempt) {
-            found = map.Contains(kMover) || map.Contains(kMoverAlt);
-          }
-          if (!found) {
-            vanished.fetch_add(1, std::memory_order_relaxed);
-          }
+        // Probe the alias the in-flight move unlinks FIRST, then the one it
+        // publishes. If the generation is unchanged across the pair, no
+        // second move can have started, so the entry changed name at most
+        // once, from the first alias to the second: publish-before-unlink
+        // makes one of the probes hit. A pair that straddles two moves
+        // proves nothing and is not counted.
+        const std::uint64_t gen = generation.load();
+        const bool even = gen % 2 == 0;
+        const bool found_from = map.Contains(even ? kMover : kMoverAlt);
+        const bool found_to = map.Contains(even ? kMoverAlt : kMover);
+        if (generation.load() != gen) {
+          continue;
+        }
+        decisive.fetch_add(1, std::memory_order_relaxed);
+        if (!found_from && !found_to) {
+          vanished.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
   }
+  while (running.load() < 4) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(map.Move(kMover, kMoverAlt));
+    generation.fetch_add(1);
     ASSERT_TRUE(map.Move(kMoverAlt, kMover));
+    generation.fetch_add(1);
   }
   stop.store(true);
   for (auto& r : readers) {
     r.join();
   }
   EXPECT_EQ(vanished.load(), 0u);
+  EXPECT_GT(decisive.load(), 1000u);
 }
 
 TEST_F(StableKeysFixture, UpdateIsAtomicToReaders) {
