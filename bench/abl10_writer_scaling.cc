@@ -30,9 +30,6 @@ constexpr std::uint64_t kKeySpace = 1 << 16;
 RpHashMapOptions OptionsWithStripes(std::size_t stripes) {
   RpHashMapOptions options;
   options.writer_stripes = stripes;
-  // Fixed geometry: this ablation isolates writer-lock contention, not
-  // resize cost (abl3/abl5 cover that).
-  options.auto_resize = false;
   return options;
 }
 

@@ -45,11 +45,7 @@ std::vector<std::string> MakeKeys() {
 using StringMap = rp::core::RpHashMap<std::string, std::string>;
 
 StringMap& PopulatedMap() {
-  static StringMap map(8192, [] {
-    rp::core::RpHashMapOptions options;
-    options.auto_resize = false;
-    return options;
-  }());
+  static StringMap map(8192);
   if (map.Empty()) {
     for (const std::string& key : MakeKeys()) {
       map.Insert(key, key);

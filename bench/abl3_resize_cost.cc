@@ -15,12 +15,6 @@ namespace {
 
 using Map = rp::core::RpHashMap<std::uint64_t, std::uint64_t>;
 
-rp::core::RpHashMapOptions NoAutoResize() {
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
-}
-
 void BM_ExpandDouble(benchmark::State& state) {
   const auto buckets = static_cast<std::size_t>(state.range(0));
   const auto load = static_cast<std::uint64_t>(state.range(1));
@@ -29,7 +23,7 @@ void BM_ExpandDouble(benchmark::State& state) {
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Map map(buckets, NoAutoResize());
+    Map map(buckets);
     for (std::uint64_t i = 0; i < buckets * load; ++i) {
       map.Insert(i, i);
     }
@@ -58,7 +52,7 @@ void BM_ShrinkHalve(benchmark::State& state) {
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Map map(buckets, NoAutoResize());
+    Map map(buckets);
     for (std::uint64_t i = 0; i < buckets * load; ++i) {
       map.Insert(i, i);
     }
@@ -77,13 +71,15 @@ BENCHMARK(BM_ShrinkHalve)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullGrowCycle(benchmark::State& state) {
-  // 4 -> 4096 via doublings with auto-resize, the "cache warming" pattern.
+  // 4 -> 4096 via explicit doublings whenever the load factor passes 2,
+  // interleaved with the inserts: the "cache warming" pattern.
   for (auto _ : state) {
-    rp::core::RpHashMapOptions options;
-    options.auto_resize = true;
-    Map map(4, options);
+    Map map(4);
     for (std::uint64_t i = 0; i < 8192; ++i) {
       map.Insert(i, i);
+      if (map.Size() > 2 * map.BucketCount()) {
+        map.Resize(map.BucketCount() * 2);
+      }
     }
     benchmark::DoNotOptimize(map.BucketCount());
   }

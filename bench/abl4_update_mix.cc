@@ -69,9 +69,7 @@ int main() {
     rp::bench::SeriesTable table(title, threads);
 
     {
-      rp::core::RpHashMapOptions options;
-      options.auto_resize = false;
-      rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets, options);
+      rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets);
       RunMix(table, "RP", map, write_ratio, threads, seconds);
     }
     {

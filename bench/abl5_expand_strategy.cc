@@ -130,9 +130,7 @@ int main() {
 
   // Part 1: resize operation cost (writer side), no readers.
   {
-    rp::core::RpHashMapOptions options;
-    options.auto_resize = false;
-    rp::core::RpHashMap<std::uint64_t, std::uint64_t> unzip_map(kSmall, options);
+    rp::core::RpHashMap<std::uint64_t, std::uint64_t> unzip_map(kSmall);
     CopyRebuildMap copy_map(kSmall);
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       unzip_map.Insert(i, i);
@@ -166,9 +164,7 @@ int main() {
     rp::bench::SeriesTable table(
         "A5: reader throughput under continuous expansion strategy", threads);
     {
-      rp::core::RpHashMapOptions options;
-      options.auto_resize = false;
-      rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall, options);
+      rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall);
       for (std::uint64_t i = 0; i < kKeys; ++i) {
         map.Insert(i, i);
       }

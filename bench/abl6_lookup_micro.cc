@@ -30,9 +30,7 @@ void LookupLoop(benchmark::State& state, Map& map) {
 }
 
 void BM_LookupRp(benchmark::State& state) {
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
-  rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets, options);
+  rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets);
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     map.Insert(i, i);
   }
@@ -42,12 +40,10 @@ BENCHMARK(BM_LookupRp);
 
 void BM_LookupRpQsbr(benchmark::State& state) {
   rp::rcu::Qsbr::RegisterThread();
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
   rp::core::RpHashMap<std::uint64_t, std::uint64_t,
                       rp::core::MixedHash<std::uint64_t>,
                       std::equal_to<std::uint64_t>, rp::rcu::Qsbr>
-      map(kBuckets, options);
+      map(kBuckets);
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     map.Insert(i, i);
   }
@@ -111,9 +107,7 @@ BENCHMARK(BM_LookupBucketLock);
 
 // Miss-path lookups (absent keys) — exercises full-chain walks.
 void BM_LookupRpMiss(benchmark::State& state) {
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
-  rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets, options);
+  rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets);
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     map.Insert(i, i);
   }
@@ -127,9 +121,7 @@ BENCHMARK(BM_LookupRpMiss);
 
 // Insert+erase round trip (update-path cost).
 void BM_UpdateRp(benchmark::State& state) {
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
-  rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets, options);
+  rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kBuckets);
   std::uint64_t key = 1 << 20;
   for (auto _ : state) {
     map.Insert(key, key);

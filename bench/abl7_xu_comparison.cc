@@ -93,10 +93,8 @@ int main() {
   rp::bench::SeriesTable resizing("A7b: lookups during continuous resize",
                                   threads);
 
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
   {
-    rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall, options);
+    rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall);
     Sweep("RP", map, idle, resizing, threads, seconds);
   }
   {
@@ -109,7 +107,7 @@ int main() {
 
   // Resize latency + memory overhead.
   {
-    rp::core::RpHashMap<std::uint64_t, std::uint64_t> rp_map(kSmall, options);
+    rp::core::RpHashMap<std::uint64_t, std::uint64_t> rp_map(kSmall);
     rp::baselines::XuHashMap<std::uint64_t, std::uint64_t> xu_map(kSmall);
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       rp_map.Insert(i, i);

@@ -61,9 +61,7 @@ int main() {
       "F1: fixed-size table baseline (8k buckets, 4k entries, pure lookups)",
       threads);
 
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
-  rp::core::RpHashMap<std::uint64_t, std::uint64_t> rp_map(kBuckets, options);
+  rp::core::RpHashMap<std::uint64_t, std::uint64_t> rp_map(kBuckets);
   Populate(rp_map);
   RunSeries(table, "RP", rp_map, threads, seconds);
 

@@ -39,9 +39,7 @@ int main() {
       "F2: lookups during continuous 8k<->16k resizing", threads);
 
   {
-    rp::core::RpHashMapOptions options;
-    options.auto_resize = false;
-    rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall, options);
+    rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall);
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       map.Insert(i, i);
     }

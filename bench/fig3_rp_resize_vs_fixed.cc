@@ -55,9 +55,7 @@ int main() {
   }
 
   {
-    rp::core::RpHashMapOptions options;
-    options.auto_resize = false;
-    rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall, options);
+    rp::core::RpHashMap<std::uint64_t, std::uint64_t> map(kSmall);
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       map.Insert(i, i);
     }

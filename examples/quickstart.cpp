@@ -1,17 +1,23 @@
 // Quickstart: the RpHashMap public API in two minutes.
 //
 // Build & run:  ./build/examples/quickstart
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/resize_worker.h"
 #include "src/core/rp_hash_map.h"
+
+using Map = rp::core::RpHashMap<std::string, std::string>;
 
 int main() {
   // A resizable relativistic hash map. Readers never block; writers
-  // serialize internally. Auto-resize keeps the load factor bounded.
-  rp::core::RpHashMap<std::string, std::string> map(/*initial_buckets=*/16);
+  // serialize internally. The map resizes only when told to: a
+  // ResizeWorker keeps the load factor bounded from a background thread.
+  Map map(/*initial_buckets=*/16);
+  rp::core::ResizeWorker<Map> worker(map);
 
   // --- Write side ---------------------------------------------------------
   map.Insert("linux", "kernel");
@@ -34,12 +40,20 @@ int main() {
   std::printf("moved: contains(linux)=%d contains(gnu-linux)=%d\n",
               map.Contains("linux"), map.Contains("gnu-linux"));
 
-  // --- Concurrent readers during an explicit resize ------------------------
+  // --- Background resize: a nudge wakes the worker once the load factor
+  // leaves its band, and the worker resizes off the writer's path ----------
   for (int i = 0; i < 10000; ++i) {
     map.Insert("key-" + std::to_string(i), std::to_string(i));
+    worker.Nudge();
   }
-  std::printf("grew to %zu entries across %zu buckets (auto-resized)\n",
+  while (worker.ResizesPerformed() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::printf("grew to %zu entries across %zu buckets (resized by the worker)\n",
               map.Size(), map.BucketCount());
+
+  // --- Concurrent readers during an explicit resize ------------------------
+  worker.Stop();  // the explicit resizes below replace the worker's policy
 
   std::vector<std::thread> readers;
   std::atomic<bool> stop{false};

@@ -32,12 +32,9 @@ int main() {
       "Tracing the relativistic resize algorithms "
       "(Triplett/McKenney/Walpole, ATC'11)\n\n");
 
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = false;
-
   for (const std::uint64_t load : {1ULL, 4ULL, 16ULL}) {
     constexpr std::size_t kBuckets = 1024;
-    Map map(kBuckets, options);
+    Map map(kBuckets);
     for (std::uint64_t i = 0; i < kBuckets * load; ++i) {
       map.Insert(i, i);
     }

@@ -5,14 +5,17 @@
 // tables (dcache, route cache, connection tracking) whose read path must
 // never block and whose size cannot be known in advance. Readers here are
 // "packet processors" doing route lookups; a control-plane thread adds and
-// withdraws routes; the table resizes itself as the route count swings.
+// withdraws routes; a background ResizeWorker resizes the table as the
+// route count swings, so no writer ever waits out a resize.
 //
 // Build & run:  ./build/examples/route_cache
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
+#include "src/core/resize_worker.h"
 #include "src/core/rp_hash_map.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -36,15 +39,17 @@ constexpr double kRunSeconds = 2.0;
 }  // namespace
 
 int main() {
-  rp::core::RpHashMapOptions options;
-  options.auto_resize = true;
-  options.max_load_factor = 1.0;
-  RouteTable table(1024, options);
+  RouteTable table(1024);
+  rp::core::ResizeWorkerOptions worker_options;
+  worker_options.grow_at = 1.0;
+  worker_options.poll_interval = std::chrono::milliseconds(10);
+  rp::core::ResizeWorker<RouteTable> worker(table, worker_options);
 
   // Install the stable part of the routing table.
   for (std::uint32_t dst = 0; dst < kStableRoutes; ++dst) {
     table.Insert(dst, Route{dst ^ 0xC0A80001, static_cast<std::uint16_t>(dst % 8),
                             static_cast<std::uint16_t>(dst % 16)});
+    worker.Nudge();
   }
   std::printf("installed %zu stable routes, %zu buckets\n", table.Size(),
               table.BucketCount());
@@ -78,7 +83,7 @@ int main() {
   }
 
   // Control plane: bursts of dynamic routes appear and get withdrawn,
-  // swinging the table size (auto-resize reacts both directions).
+  // swinging the table size; the nudges let the worker resize both ways.
   std::thread control([&] {
     rp::Xoshiro256 rng(99);
     int epoch = 0;
@@ -86,9 +91,11 @@ int main() {
       const std::uint32_t base = kStableRoutes + (epoch % 2) * kChurnRoutes;
       for (std::uint32_t i = 0; i < kChurnRoutes && !stop.load(std::memory_order_relaxed); ++i) {
         table.Insert(base + i, Route{base + i, 1, 1});
+        worker.Nudge();
       }
       for (std::uint32_t i = 0; i < kChurnRoutes && !stop.load(std::memory_order_relaxed); ++i) {
         table.Erase(base + i);
+        worker.Nudge();
       }
       ++epoch;
     }

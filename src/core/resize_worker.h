@@ -1,12 +1,12 @@
 // Deferred resize worker, in the style of the Linux kernel's rhashtable.
 //
-// RpHashMap's auto-resize runs inline in whichever writer trips the load-
-// factor threshold, so that writer absorbs the whole resize (pointer swings
-// plus grace-period waits). Kernel practice is to defer the resize to a
-// worker so insert/erase latency stays flat and the resize cost lands on a
-// dedicated thread. ResizeWorker implements that policy on top of the map's
-// public API: construct the map with auto_resize = false and attach a
-// worker.
+// RpHashMap carries out a resize when told to (Resize) but never decides
+// one: this worker is the repository's one resize policy. Kernel practice,
+// which lib/rhashtable.c follows, is to resize only from a deferred worker,
+// so insert/erase latency stays flat and the resize cost (pointer swings
+// plus grace-period waits) lands on a dedicated thread, never on a writer.
+// The worker drives the map through its public API: attach one to any map
+// whose size changes.
 //
 // The worker wakes on a periodic poll tick, or on a writer hint (Nudge)
 // that finds the load factor outside the [shrink_at, grow_at] band, and

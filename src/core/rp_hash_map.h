@@ -63,15 +63,14 @@
 
 namespace rp::core {
 
+// The table carries out resizes (Resize) but never decides them: when to
+// resize is ResizeWorker's policy (src/core/resize_worker.h).
 struct RpHashMapOptions {
-  // Insert triggers an expansion when size/buckets exceeds this.
-  double max_load_factor = 2.0;
-  // Erase triggers a shrink when size/buckets drops below this.
-  double min_load_factor = 0.125;
-  // Resizes never shrink below this many buckets.
-  std::size_t min_buckets = 4;
-  // When false, the table only resizes on explicit Resize/Expand/Shrink.
-  bool auto_resize = true;
+  // Inert. The table has no inline resize policy; the field stays only so
+  // the benchmark sources that still assign `false` to it compile, and the
+  // constructor rejects `true`. Deleted with the next benchmark change
+  // (ROADMAP item 8).
+  bool auto_resize = false;
   // Number of writer-lock stripes (rounded up to a power of two). Each
   // stripe covers an interleaved subset of buckets; updates to different
   // stripes run concurrently. 1 reproduces the single-writer-mutex table.
@@ -129,11 +128,10 @@ class RpHashMap {
   explicit RpHashMap(std::size_t initial_buckets = 16,
                      RpHashMapOptions options = {}, NodeAlloc node_alloc = {})
       : node_alloc_(std::move(node_alloc)),
-        options_(options),
         stripe_count_(ClampStripes(options.writer_stripes)),
         stripes_(std::make_unique<Stripe[]>(stripe_count_)) {
-    const std::size_t n =
-        CeilPowerOfTwo(std::max(initial_buckets, options_.min_buckets));
+    assert(!options.auto_resize && "attach a ResizeWorker instead");
+    const std::size_t n = CeilPowerOfTwo(initial_buckets);
     table_.store(BucketArray::Create(n), std::memory_order_release);
     bucket_count_.store(n, std::memory_order_release);
     stripe_mask_.store(EffectiveStripeMaskFor(stripe_count_, n),
@@ -302,16 +300,13 @@ class RpHashMap {
   bool Insert(Prehashed hash, const K& key, T value) {
     Node* node =
         node_alloc_.template Create<Node>(hash.value, key, std::move(value));
-    {
-      StripeGuard guard(*this, node->hash);
-      if (FindNodeWriter(node->hash, key) != nullptr) {
-        delete node;
-        return false;
-      }
-      InsertNode(node);
-      count_.fetch_add(1, std::memory_order_relaxed);
+    StripeGuard guard(*this, node->hash);
+    if (FindNodeWriter(node->hash, key) != nullptr) {
+      delete node;
+      return false;
     }
-    MaybeAutoResize();
+    InsertNode(node);
+    count_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
@@ -344,25 +339,17 @@ class RpHashMap {
                       Fn&& on_replace) {
     Node* node =
         node_alloc_.template Create<Node>(hash.value, key, std::move(value));
-    bool inserted;
-    {
-      StripeGuard guard(*this, node->hash);
-      std::atomic<Node*>* slot = nullptr;
-      Node* existing = FindSlotWriter(node->hash, key, &slot);
-      if (existing != nullptr) {
-        std::forward<Fn>(on_replace)(static_cast<const T&>(existing->value));
-        ReplaceNodeAt(slot, existing, node);
-        inserted = false;
-      } else {
-        InsertNode(node);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        inserted = true;
-      }
+    StripeGuard guard(*this, node->hash);
+    std::atomic<Node*>* slot = nullptr;
+    Node* existing = FindSlotWriter(node->hash, key, &slot);
+    if (existing != nullptr) {
+      std::forward<Fn>(on_replace)(static_cast<const T&>(existing->value));
+      ReplaceNodeAt(slot, existing, node);
+      return false;
     }
-    if (inserted) {
-      MaybeAutoResize();
-    }
-    return inserted;
+    InsertNode(node);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
 
   // Copy-updates the value for `key`: clones the node, applies fn(T&) to
@@ -463,32 +450,25 @@ class RpHashMap {
 
   template <typename K, typename Pred>
   bool EraseIf(Prehashed hash, const K& key, Pred&& pred) {
-    bool erased = false;
-    {
-      StripeGuard guard(*this, hash.value);
-      BucketArray* t = table_.load(std::memory_order_relaxed);
-      std::atomic<Node*>* slot = &t->bucket(hash.value & t->mask);
-      Node* cur = slot->load(std::memory_order_relaxed);
-      while (cur != nullptr) {
-        if (cur->hash == hash.value && KeyEqual{}(cur->key, key)) {
-          if (!std::forward<Pred>(pred)(static_cast<const T&>(cur->value))) {
-            return false;
-          }
-          slot->store(cur->next.load(std::memory_order_relaxed),
-                      std::memory_order_release);
-          count_.fetch_sub(1, std::memory_order_relaxed);
-          ReclaimPolicy::Retire(cur);
-          erased = true;
-          break;
+    StripeGuard guard(*this, hash.value);
+    BucketArray* t = table_.load(std::memory_order_relaxed);
+    std::atomic<Node*>* slot = &t->bucket(hash.value & t->mask);
+    Node* cur = slot->load(std::memory_order_relaxed);
+    while (cur != nullptr) {
+      if (cur->hash == hash.value && KeyEqual{}(cur->key, key)) {
+        if (!std::forward<Pred>(pred)(static_cast<const T&>(cur->value))) {
+          return false;
         }
-        slot = &cur->next;
-        cur = slot->load(std::memory_order_relaxed);
+        slot->store(cur->next.load(std::memory_order_relaxed),
+                    std::memory_order_release);
+        count_.fetch_sub(1, std::memory_order_relaxed);
+        ReclaimPolicy::Retire(cur);
+        return true;
       }
+      slot = &cur->next;
+      cur = slot->load(std::memory_order_relaxed);
     }
-    if (erased) {
-      MaybeAutoResize();
-    }
-    return erased;
+    return false;
   }
 
   // Atomic rename (the paper's "atomic move operation"): re-keys the entry
@@ -557,28 +537,14 @@ class RpHashMap {
   // Resizing.
   // ---------------------------------------------------------------------
 
-  // Resizes to CeilPowerOfTwo(target) buckets, expanding/shrinking by
-  // factors of two. Readers continue throughout; writers queue on the
-  // stripes for the duration.
+  // Resizes to CeilPowerOfTwo(target) buckets (at least 1), expanding or
+  // shrinking by factors of two. Readers continue throughout; writers queue
+  // on the stripes for the duration. The one resize entry point: a
+  // ResizeWorker, or a caller that wants a given size, decides when.
   void Resize(std::size_t target_buckets) {
     std::lock_guard<std::mutex> resize_lock(resize_mutex_);
     AllStripesGuard guard(*this);
-    ResizeLocked(CeilPowerOfTwo(std::max(target_buckets, options_.min_buckets)));
-  }
-
-  // Doubles the bucket count.
-  void Expand() {
-    std::lock_guard<std::mutex> resize_lock(resize_mutex_);
-    AllStripesGuard guard(*this);
-    ResizeLocked(table_.load(std::memory_order_relaxed)->size * 2);
-  }
-
-  // Halves the bucket count (bounded by min_buckets).
-  void Shrink() {
-    std::lock_guard<std::mutex> resize_lock(resize_mutex_);
-    AllStripesGuard guard(*this);
-    const std::size_t n = table_.load(std::memory_order_relaxed)->size / 2;
-    ResizeLocked(std::max(n, options_.min_buckets));
+    ResizeLocked(CeilPowerOfTwo(target_buckets));
   }
 
   [[nodiscard]] ResizeStats LastResizeStats() const {
@@ -875,56 +841,14 @@ class RpHashMap {
                         std::memory_order_release);
   }
 
-  // Replaces `victim` with `replacement` (same key) by one pointer swing.
-  void ReplaceNode(Node* victim, Node* replacement) {
-    ReplaceNodeAt(SlotOf(victim), victim, replacement);
-  }
-
-  // ReplaceNode when the caller already holds the slot from a one-walk
-  // find (FindSlotWriter) — no re-traversal.
+  // Replaces `victim` with `replacement` (same key) by one pointer swing,
+  // at the slot a one-walk find (FindSlotWriter) returned.
   void ReplaceNodeAt(std::atomic<Node*>* slot, Node* victim,
                      Node* replacement) {
     replacement->next.store(victim->next.load(std::memory_order_relaxed),
                             std::memory_order_relaxed);
     slot->store(replacement, std::memory_order_release);
     ReclaimPolicy::Retire(victim);
-  }
-
-  // Called by writers after releasing their stripe. Load-factor check is a
-  // cheap relaxed read; crossing a threshold funnels into resize_mutex_,
-  // where the decision is re-made against current state (another writer may
-  // have resized while we waited).
-  void MaybeAutoResize() {
-    if (!options_.auto_resize) {
-      return;
-    }
-    if (AutoResizeTarget() == 0) {
-      return;
-    }
-    std::lock_guard<std::mutex> resize_lock(resize_mutex_);
-    const std::size_t target = AutoResizeTarget();
-    if (target == 0) {
-      return;
-    }
-    AllStripesGuard guard(*this);
-    ResizeLocked(target);
-  }
-
-  // Next one-step resize target the load factor asks for, or 0 for none.
-  // Safe to call without locks — it reads only the mirrored bucket count
-  // (never the table, which a concurrent resize may free), and a stale
-  // answer only delays or repeats the (re-checked) resize decision.
-  std::size_t AutoResizeTarget() const {
-    const std::size_t buckets = bucket_count_.load(std::memory_order_acquire);
-    const auto size = static_cast<double>(count_.load(std::memory_order_relaxed));
-    if (size > options_.max_load_factor * static_cast<double>(buckets)) {
-      return buckets * 2;
-    }
-    if (buckets > options_.min_buckets &&
-        size < options_.min_load_factor * static_cast<double>(buckets)) {
-      return std::max(buckets / 2, options_.min_buckets);
-    }
-    return 0;
   }
 
   // Caller must hold resize_mutex_ and every stripe.
@@ -1086,7 +1010,6 @@ class RpHashMap {
   std::atomic<BucketArray*> table_{nullptr};
   std::atomic<std::size_t> count_{0};
   std::atomic<std::uint64_t> resize_count_{0};
-  RpHashMapOptions options_;
   const std::size_t stripe_count_;
   // Mirrors of the current table's geometry, maintained under all stripes:
   // lock-free paths (stripe selection, load-factor checks, BucketCount)
@@ -1095,8 +1018,7 @@ class RpHashMap {
   std::atomic<std::size_t> bucket_count_{0};
   std::atomic<std::size_t> stripe_mask_{0};
   const std::unique_ptr<Stripe[]> stripes_;
-  // Serializes resize decisions (explicit and load-factor-triggered) and
-  // guards last_resize_. Writers never hold a stripe while taking it.
+  // Serializes resizes and guards last_resize_. Writers never take it.
   mutable std::mutex resize_mutex_;
   ResizeStats last_resize_;
 };

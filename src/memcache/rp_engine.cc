@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <deque>
@@ -30,13 +31,12 @@ bool ParseUint64(std::string_view s, std::uint64_t* out) {
   return ec == std::errc() && ptr == last;
 }
 
-// The engine owns resize policy: the table never resizes inline (writers
-// would absorb grace-period waits); each shard's background worker does it
-// instead.
-core::RpHashMapOptions TableOptions() {
-  core::RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
+// Each shard's worker poll: the shrink backstop and the maintenance tick's
+// cadence (automove, crawl). Scaled by the shard count so the engine-wide
+// wakeup rate stays constant as shards multiply — 8 idle workers each
+// polling at 10ms would burn ~1% of a small box on context switches alone.
+std::chrono::milliseconds PollInterval(std::size_t shard_count) {
+  return std::chrono::milliseconds(10 * shard_count);
 }
 
 core::ResizeWorkerOptions WorkerOptions(std::size_t shard_buckets,
@@ -46,12 +46,8 @@ core::ResizeWorkerOptions WorkerOptions(std::size_t shard_buckets,
   options.min_buckets = std::max<std::size_t>(shard_buckets, 16);
   // Growth is nudge-driven: a store or delete that leaves the load factor
   // out of band wakes the worker at once, and an in-band nudge wakes
-  // nothing. The poll is the shrink backstop and the maintenance tick's
-  // cadence (automove, crawl). Scale it by the shard count so the
-  // engine-wide wakeup rate stays constant as shards multiply — 8 idle
-  // workers each polling at 10ms would burn ~1% of a small box on context
-  // switches alone.
-  options.poll_interval = std::chrono::milliseconds(10 * shard_count);
+  // nothing.
+  options.poll_interval = PollInterval(shard_count);
   return options;
 }
 
@@ -224,10 +220,23 @@ void StampGet(const CacheValue& value, std::int64_t now,
 
 // -- Maintenance-plane geometry ------------------------------------------
 
-// Crawler: buckets walked and dead keys collected per tick. Small on
-// purpose — the tick shares the resize worker's thread.
+// Crawler: a tick walks at least kCrawlBuckets buckets (small on purpose —
+// the tick shares the resize worker's thread), and on a shard too large for
+// that floor to visit every bucket within kCrawlPass, the share of the
+// table that keeps the pass within it. 5.5 min keeps the floor for shards
+// of up to 2^15 buckets at the default 8 shards (an 80 ms poll); a 2^20
+// shard walks 255 buckets per tick. A tick collects at most
+// kCrawlDeadPerBucket dead keys per bucket walked.
 constexpr std::size_t kCrawlBuckets = 8;
-constexpr std::size_t kCrawlReclaimMax = 32;
+constexpr std::chrono::milliseconds kCrawlPass{330'000};
+constexpr std::size_t kCrawlDeadPerBucket = 4;
+
+std::size_t CrawlBudget(std::size_t buckets, std::chrono::milliseconds poll) {
+  const auto pass = static_cast<std::size_t>(kCrawlPass.count());
+  const std::size_t per_tick =
+      (buckets * static_cast<std::size_t>(poll.count()) + pass - 1) / pass;
+  return std::max(kCrawlBuckets, per_tick);
+}
 
 }  // namespace
 
@@ -253,7 +262,7 @@ struct RpEngine::Shard {
         std::size_t shard_index, std::size_t shard_count)
       : slab(slab_policy),
         node_slab(NodeSlabPolicy()),
-        table(buckets, TableOptions(), CombinedNodeAlloc{&node_slab, &slab}),
+        table(buckets, {}, CombinedNodeAlloc{&node_slab, &slab}),
         next_cas(shard_index + 1),
         cas_step(shard_count),
         resize_worker(table,
@@ -378,6 +387,7 @@ RpEngine::RpEngine(EngineConfig config) : config_(config) {
   const std::size_t shard_buckets = ShardBucketsFor(config_, shard_count);
   max_items_per_shard_ = PerShard(config_.max_items, shard_count);
   max_bytes_per_shard_ = PerShard(config_.max_bytes, shard_count);
+  poll_interval_ = PollInterval(shard_count);
   track_eviction_ = config_.max_items != 0 || config_.max_bytes != 0;
   const SlabPolicy slab_policy = SlabPolicyFor(config_, shard_count);
   // Construct the RCU domain (thread registry and callback queue) before
@@ -561,18 +571,18 @@ void RpEngine::EvictLocked(Shard& shard, std::size_t incoming,
   // deadline) are reclaimed on sight regardless of the bit. `chances`
   // bounds one call's requeues in case GETs re-set bits as fast as the
   // sweep clears them. The sweep never writes last_used or fetched.
+  // `keep`, the key a SET is about to store, is never a victim: its entries
+  // leave the queue as the sweep meets them (a delete and a re-set leave
+  // two) and one goes back to the tail when the sweep ends, so the sweep
+  // runs until it has made room or visited every other entry.
   std::size_t chances = shard.fifo.size();
-  bool kept = false;
+  std::string kept;
   while (OverLimit(shard, incoming) && !shard.fifo.empty()) {
     std::string victim = std::move(shard.fifo.front());
     shard.fifo.pop_front();
     ++shard.sweep_pops;
     if (!keep.empty() && victim == keep) {
-      shard.fifo.push_back(std::move(victim));
-      if (kept) {
-        break;  // a full pass; the post-publish sweep does the rest
-      }
-      kept = true;
+      kept = std::move(victim);
       continue;
     }
     bool referenced = false;
@@ -601,6 +611,9 @@ void RpEngine::EvictLocked(Shard& shard, std::size_t incoming,
       shard.fifo.push_back(std::move(victim));
     }
     // else: stale queue entry (deleted or already evicted) — drop it.
+  }
+  if (!kept.empty()) {
+    shard.fifo.push_back(std::move(kept));
   }
 }
 
@@ -1164,23 +1177,25 @@ void RpEngine::AutomoveTick(Shard& shard) {
 void RpEngine::CrawlerTick(Shard& shard) {
   const std::int64_t now = NowSeconds();
   const std::int64_t flush_at = shard.flush_at.load(std::memory_order_relaxed);
-  // Walk a few buckets per tick collecting dead keys (key bytes copied out
-  // — the node may be reclaimed the moment the section closes), then
-  // erase them OUTSIDE the read section: EraseIf takes stripe locks, and a
+  // Walk this tick's buckets collecting dead keys (key bytes copied out —
+  // the node may be reclaimed the moment the section closes), then erase
+  // them OUTSIDE the read section: EraseIf takes stripe locks, and a
   // resize holds all stripes while waiting for readers.
-  std::string dead[kCrawlReclaimMax];
-  std::size_t n_dead = 0;
+  const std::size_t walk =
+      CrawlBudget(shard.table.BucketCount(), poll_interval_);
+  std::vector<std::string> dead;
   const std::size_t begin = shard.crawl_cursor;
   const std::size_t buckets = shard.table.ForEachInBuckets(
-      begin, kCrawlBuckets, [&](const ItemKey& key, const CacheValue& value) {
-        if (n_dead < kCrawlReclaimMax && !IsLive(value, flush_at, now)) {
-          dead[n_dead++].assign(key.data, key.size);
+      begin, walk, [&](const ItemKey& key, const CacheValue& value) {
+        if (dead.size() < walk * kCrawlDeadPerBucket &&
+            !IsLive(value, flush_at, now)) {
+          dead.emplace_back(key.data, key.size);
         }
       });
   shard.crawl_cursor =
-      begin % buckets + kCrawlBuckets >= buckets ? 0 : begin % buckets + kCrawlBuckets;
-  for (std::size_t i = 0; i < n_dead; ++i) {
-    if (ReclaimDead(shard, core::Prehashed{Hasher{}(dead[i])}, dead[i])) {
+      begin % buckets + walk >= buckets ? 0 : begin % buckets + walk;
+  for (const std::string& key : dead) {
+    if (ReclaimDead(shard, core::Prehashed{Hasher{}(key)}, key)) {
       shard.crawler_reclaims.fetch_add(1, std::memory_order_relaxed);
     }
   }

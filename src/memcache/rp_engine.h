@@ -27,8 +27,8 @@
 // because eviction bookkeeping must change atomically with table
 // membership; so do eviction and an immediate flush. An uncapped cache's
 // stores take no engine lock at all. Resizes are off the writer path
-// entirely: each table runs with auto_resize off and its shard's
-// background ResizeWorker absorbs resize cost, kernel-rhashtable style.
+// entirely: each shard's background ResizeWorker decides and carries them
+// out, kernel-rhashtable style.
 //
 // Value payloads live in per-shard slab chunks (src/memcache/slab.h), not
 // per-item heap strings: a steady-state SET recycles a chunk instead of
@@ -47,6 +47,7 @@
 #define RP_MEMCACHE_RP_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -185,6 +186,9 @@ class RpEngine final : public CacheEngine {
   // Per-shard budgets derived from config_ (0 = unlimited).
   std::size_t max_items_per_shard_ = 0;
   std::size_t max_bytes_per_shard_ = 0;
+  // Every shard worker's poll, the maintenance tick's cadence. Set before
+  // the shards start, so their ticks read it without a lock.
+  std::chrono::milliseconds poll_interval_{0};
   // Whether inserts feed the eviction queue at all: an unlimited cache
   // skips recency tracking entirely so the queue cannot grow without
   // bound under set/delete churn.

@@ -250,11 +250,13 @@ TEST(ConformanceMatrix, EveryOpAgreesOnEveryItemState) {
 // other classes' pages, so every cell payload takes the exhaustion path
 // (the heap fallback) on both instances.
 
-// Buckets per shard table. The RP maintenance crawler walks 8 buckets per
-// tick from bucket 0 and reclaims dead items it meets, which would make
-// the expired/flushed cells' counters depend on thread timing. At ~100
-// ticks/s it needs tens of seconds to reach kCrawlHorizon, and every key
-// the sweep stores is placed beyond it.
+// Buckets per shard table. The RP maintenance crawler walks from bucket 0
+// and reclaims dead items it meets, which would make the expired/flushed
+// cells' counters depend on thread timing. It covers a shard within its
+// 330 s pass bound, so kCrawlHorizon, 1/16 of these 2^18 buckets, takes
+// about 20 s to reach (2048 ticks of 8 buckets at one shard's 10 ms poll,
+// 512 of 32 at four shards' 40 ms). Every key the sweep stores is placed
+// beyond it.
 constexpr std::size_t kSweepShardBuckets = std::size_t{1} << 18;
 constexpr std::size_t kCrawlHorizon = std::size_t{1} << 14;
 

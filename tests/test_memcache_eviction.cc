@@ -10,7 +10,9 @@
 //   (c) the sweep never writes the access metadata the meta protocol's
 //       h and l flags report (fetched, last_used);
 //   (d) GETs setting bits while a writer's sweep clears them keep the byte
-//       cap and never read a torn value (run under TSan in CI).
+//       cap and never read a torn value (run under TSan in CI);
+//   (e) a SET's sweep skips every queue entry for its own key, however
+//       many there are, and still makes room before it publishes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -268,6 +270,55 @@ TEST(Eviction, GetsSettingBitsRaceTheSweepUnderAByteCap) {
       EXPECT_TRUE(Intact(keys[i], out.data)) << keys[i];
     }
   }
+}
+
+// A delete leaves its key's queue entry behind, so a delete and a re-set
+// queue the key twice. A later SET of that key must sweep past both and
+// evict fillers behind them before it publishes; a sweep that stopped at
+// the second entry published over the cap until the post-publish sweep
+// ran. A poller watches the gauge throughout.
+TEST(Eviction, ASetSweepsPastDuplicateEntriesForItsKey) {
+  EngineConfig config;
+  config.shards = 1;
+  config.max_bytes = 64 * 1024;
+  RpEngine engine(config);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> peak_bytes{0};
+  std::thread poller([&] {
+    std::uint64_t peak = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      peak = std::max(peak, engine.Stats().bytes);
+    }
+    peak_bytes.store(peak);
+  });
+
+  const std::string key = "dup";
+  const std::string big(8 * 1024, 'b');
+  constexpr std::size_t kFillerCharge = 400;  // a 200 B filler, generously
+  std::uint64_t evictions = 0;
+  for (int round = 0; round < 200; ++round) {
+    engine.FlushAll(0);
+    // Queue: dup (stale) dup, then fillers up to just under the cap, so
+    // building it evicts nothing.
+    ASSERT_EQ(engine.Set(key, "v", 0, 0), StoreResult::kStored);
+    ASSERT_TRUE(engine.Delete(key));
+    ASSERT_EQ(engine.Set(key, "v", 0, 0), StoreResult::kStored);
+    for (int i = 0; engine.Stats().bytes + kFillerCharge < config.max_bytes;
+         ++i) {
+      ASSERT_EQ(engine.Set("fill-" + std::to_string(i), std::string(200, 'f'),
+                           0, 0),
+                StoreResult::kStored);
+    }
+    ASSERT_EQ(engine.Stats().evictions, evictions);
+    ASSERT_EQ(engine.Set(key, big, 0, 0), StoreResult::kStored);
+    evictions = engine.Stats().evictions;
+  }
+  stop.store(true);
+  poller.join();
+
+  EXPECT_LE(peak_bytes.load(), config.max_bytes);
+  EXPECT_GT(evictions, 0u);
 }
 
 }  // namespace

@@ -150,6 +150,34 @@ TEST(Crawler, ReclaimsExpiredItemsWithoutAnyRequestTouchingThem) {
   EXPECT_GE(stats.expired_reclaims, 50u);  // crawls count as reclaims too
 }
 
+TEST(Crawler, OnePassReachesEveryRegionOfALargeShard) {
+  // A 2^20-bucket shard, uncapped, so only the crawl reclaims. At one
+  // shard the tick runs every 10 ms, and a pass must take at most the
+  // engine's 330 s pass bound: 33,000 ticks, which the 8-bucket floor
+  // alone would stretch to 131,072.
+  constexpr std::size_t kBuckets = std::size_t{1} << 20;
+  constexpr int kPassTicks = 330'000 / 10;
+  EngineConfig config;
+  config.shards = 1;
+  config.initial_buckets = kBuckets;
+  RpEngine rp(config);
+  ASSERT_EQ(rp.BucketCount(), kBuckets);
+  // Stored already expired (negative exptime), spread over the whole
+  // table by the hash: every region holds dead keys.
+  constexpr int kKeys = 4096;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(rp.Set("expired-" + std::to_string(i), "v", 0, -1),
+              StoreResult::kStored);
+  }
+  ASSERT_EQ(rp.ItemCount(), static_cast<std::size_t>(kKeys));
+
+  for (int tick = 0; tick < kPassTicks && rp.ItemCount() != 0; ++tick) {
+    rp.RunMaintenanceTick(0);
+  }
+  EXPECT_EQ(rp.ItemCount(), 0u);
+  EXPECT_EQ(rp.Stats().crawler_reclaims, static_cast<std::uint64_t>(kKeys));
+}
+
 // -- Torture: GETs on a hot key racing every mutation --------------------
 
 // TSan target (runs in the normal suite too): readers hammer one hot key

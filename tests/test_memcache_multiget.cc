@@ -35,10 +35,12 @@ std::string Key(std::size_t i) { return "mget-" + std::to_string(i); }
 std::string Payload(std::size_t i) { return "value-" + std::to_string(i); }
 
 // Buckets per shard table for the conformance engines. The RP maintenance
-// crawler walks 8 buckets per tick from bucket 0 and reclaims the dead
-// items it meets, which would make the reclaim counters depend on thread
-// timing. Even at one tick per store it needs thousands of ticks to reach
-// kCrawlHorizon, and every dead key is placed beyond it.
+// crawler walks from bucket 0 and reclaims the dead items it meets, which
+// would make the reclaim counters depend on thread timing. At 2^16 buckets
+// a tick walks the 8-bucket floor, so reaching kCrawlHorizon takes 2048
+// ticks: about 20 s at one shard (10 ms poll) and 82 s, a quarter of the
+// crawl's 330 s pass bound, at four (40 ms). Every dead key is placed
+// beyond it.
 constexpr std::size_t kShardBuckets = std::size_t{1} << 16;
 constexpr std::size_t kCrawlHorizon = std::size_t{1} << 14;
 

@@ -10,20 +10,16 @@
 #include <vector>
 
 #include "src/core/hash.h"
+#include "src/core/resize_worker.h"
 #include "src/core/rp_hash_map.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
+#include "tests/worker_race.h"
 
 namespace rp::core {
 namespace {
 
 using IntMap = RpHashMap<std::uint64_t, std::uint64_t>;
-
-RpHashMapOptions NoAutoResize() {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
-}
 
 // ---------------------------------------------------------------------------
 // Property: for any (initial buckets, element count, target buckets),
@@ -34,7 +30,7 @@ class ResizeProperty
 
 TEST_P(ResizeProperty, ContentsExactAcrossResize) {
   const auto [initial_buckets, num_elements, target_buckets] = GetParam();
-  IntMap map(initial_buckets, NoAutoResize());
+  IntMap map(initial_buckets);
   Xoshiro256 rng(initial_buckets * 31 + num_elements);
   std::set<std::uint64_t> model;
   while (model.size() < num_elements) {
@@ -44,7 +40,7 @@ TEST_P(ResizeProperty, ContentsExactAcrossResize) {
     }
   }
   map.Resize(target_buckets);
-  EXPECT_EQ(map.BucketCount(), CeilPowerOfTwo(std::max<std::size_t>(target_buckets, 4)));
+  EXPECT_EQ(map.BucketCount(), CeilPowerOfTwo(target_buckets));
   EXPECT_EQ(map.Size(), model.size());
   for (std::uint64_t key : model) {
     auto v = map.Get(key);
@@ -75,7 +71,7 @@ class UnzipCostProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(UnzipCostProperty, GracePeriodsBoundedByChainRuns) {
   const std::uint64_t load_factor = GetParam();
   constexpr std::size_t kBuckets = 128;
-  IntMap map(kBuckets, NoAutoResize());
+  IntMap map(kBuckets);
   for (std::uint64_t i = 0; i < load_factor * kBuckets; ++i) {
     map.Insert(i, i);
   }
@@ -100,7 +96,7 @@ class ShrinkCostProperty
 
 TEST_P(ShrinkCostProperty, OneGracePeriodPerHalving) {
   const auto [buckets, elements] = GetParam();
-  IntMap map(buckets, NoAutoResize());
+  IntMap map(buckets);
   for (std::uint64_t i = 0; i < elements; ++i) {
     map.Insert(i, i);
   }
@@ -125,7 +121,7 @@ class ConcurrencyProperty : public ::testing::TestWithParam<int> {};
 TEST_P(ConcurrencyProperty, StableKeysAlwaysVisible) {
   const int num_readers = GetParam();
   constexpr std::uint64_t kStable = 1024;
-  IntMap map(64, NoAutoResize());
+  IntMap map(64);
   for (std::uint64_t i = 0; i < kStable; ++i) {
     map.Insert(i, i);
   }
@@ -217,29 +213,39 @@ INSTANTIATE_TEST_SUITE_P(Bits, AvalancheProperty,
                          ::testing::Values(0, 7, 21, 42, 63));
 
 // ---------------------------------------------------------------------------
-// Property: auto-resize keeps load factor within policy bounds across
-// workload sizes.
+// Property: a resize worker racing the writer brings the load factor back
+// within its bounds across workload sizes, and shrinks a drained table to
+// its floor.
 // ---------------------------------------------------------------------------
-class AutoResizeProperty : public ::testing::TestWithParam<std::uint64_t> {};
+class ResizeWorkerProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(AutoResizeProperty, LoadFactorStaysBounded) {
+TEST_P(ResizeWorkerProperty, LoadFactorStaysBounded) {
   const std::uint64_t n = GetParam();
-  RpHashMapOptions options;
-  options.auto_resize = true;
-  options.max_load_factor = 2.0;
-  options.min_load_factor = 0.125;
-  IntMap map(4, options);
+  IntMap map(4);
+  ResizeWorkerOptions options = FastWorker();
+  options.shrink_at = 0.125;
+  options.min_buckets = 4;
+  ResizeWorker<IntMap> worker(map, options);
   for (std::uint64_t i = 0; i < n; ++i) {
     map.Insert(i, i);
+    worker.Nudge();
   }
-  EXPECT_LE(map.LoadFactor(), 2.0 * 1.01);
+  WriteUntilResized(worker, [&] {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      map.InsertOrAssign(i, i);
+    }
+  });
+  EXPECT_GT(worker.ResizesPerformed(), 0u);
+  WaitUntil([&] { return map.LoadFactor() <= options.grow_at; });  // 2.0
   for (std::uint64_t i = 0; i < n; ++i) {
     map.Erase(i);
+    worker.Nudge();
   }
   EXPECT_EQ(map.Size(), 0u);
+  WaitUntil([&] { return map.BucketCount() == options.min_buckets; });
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, AutoResizeProperty,
+INSTANTIATE_TEST_SUITE_P(Sizes, ResizeWorkerProperty,
                          ::testing::Values(10, 100, 1000, 10000, 50000));
 
 }  // namespace

@@ -10,35 +10,15 @@
 #include "src/baselines/rwlock_hash_map.h"
 #include "src/core/resize_worker.h"
 #include "src/core/rp_hash_map.h"
+#include "tests/worker_race.h"
 
 namespace rp::core {
 namespace {
 
 using Map = RpHashMap<std::uint64_t, std::uint64_t>;
 
-RpHashMapOptions ManualResize() {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
-}
-
-ResizeWorkerOptions FastWorker() {
-  ResizeWorkerOptions options;
-  options.poll_interval = std::chrono::milliseconds(1);
-  return options;
-}
-
-void WaitUntil(const std::function<bool()>& cond, int timeout_ms = 5000) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!cond() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(cond()) << "condition not reached within " << timeout_ms << "ms";
-}
-
 TEST(ResizeWorker, GrowsOverloadedTable) {
-  Map map(16, ManualResize());
+  Map map(16);
   ResizeWorker<Map> worker(map, FastWorker());
   for (std::uint64_t k = 0; k < 1000; ++k) {
     map.Insert(k, k);
@@ -56,7 +36,7 @@ TEST(ResizeWorker, GrowsOverloadedTable) {
 }
 
 TEST(ResizeWorker, ShrinksEmptiedTable) {
-  Map map(16, ManualResize());
+  Map map(16);
   for (std::uint64_t k = 0; k < 4000; ++k) {
     map.Insert(k, k);
   }
@@ -71,7 +51,7 @@ TEST(ResizeWorker, ShrinksEmptiedTable) {
 }
 
 TEST(ResizeWorker, PeriodicTickWorksWithoutNudges) {
-  Map map(16, ManualResize());
+  Map map(16);
   ResizeWorker<Map> worker(map, FastWorker());
   for (std::uint64_t k = 0; k < 500; ++k) {
     map.Insert(k, k);  // no Nudge: rely on the poll interval
@@ -80,7 +60,7 @@ TEST(ResizeWorker, PeriodicTickWorksWithoutNudges) {
 }
 
 TEST(ResizeWorker, StopIsIdempotentAndFinal) {
-  Map map(16, ManualResize());
+  Map map(16);
   ResizeWorker<Map> worker(map, FastWorker());
   worker.Stop();
   worker.Stop();  // second call must be a no-op
@@ -93,7 +73,7 @@ TEST(ResizeWorker, StopIsIdempotentAndFinal) {
 }
 
 TEST(ResizeWorker, HysteresisPreventsOscillation) {
-  Map map(64, ManualResize());
+  Map map(64);
   ResizeWorkerOptions options = FastWorker();
   options.min_buckets = 64;
   ResizeWorker<Map> worker(map, options);
@@ -112,7 +92,7 @@ TEST(ResizeWorker, InBandNudgesDoNotWakeTheWorker) {
   // as the kernel's rhashtable schedules its worker only past
   // rht_grow_above_75 / rht_shrink_below_30. The poll is far beyond the
   // test's run time, so every wakeup counted here comes from a nudge.
-  Map map(64, ManualResize());
+  Map map(64);
   ResizeWorkerOptions options;
   options.poll_interval = std::chrono::seconds(10);
   options.min_buckets = 64;  // the empty table is not a shrink candidate
@@ -142,7 +122,7 @@ TEST(ResizeWorker, NonPowerOfTwoMinBucketsDoesNotSpinResizes) {
   // min_buckets 100 clamps the shrink target to 100 while the table rounds
   // to 128: the worker must recognize that as "already there", not issue a
   // no-op resize on every tick forever.
-  Map map(128, ManualResize());
+  Map map(128);
   ResizeWorkerOptions options = FastWorker();
   options.min_buckets = 100;
   ResizeWorker<Map> worker(map, options);
@@ -158,7 +138,7 @@ TEST(ResizeWorker, NonPowerOfTwoMinBucketsDoesNotSpinResizes) {
 }
 
 TEST(ResizeWorker, CatchesUpInOneResizeAfterBurst) {
-  Map map(16, ManualResize());
+  Map map(16);
   // Insert a large burst before the worker exists, then attach it.
   for (std::uint64_t k = 0; k < 10000; ++k) {
     map.Insert(k, k);
@@ -172,7 +152,7 @@ TEST(ResizeWorker, CatchesUpInOneResizeAfterBurst) {
 }
 
 TEST(ResizeWorker, ReadersNeverMissDuringWorkerResizes) {
-  Map map(16, ManualResize());
+  Map map(16);
   constexpr std::uint64_t kStable = 256;
   for (std::uint64_t k = 0; k < kStable; ++k) {
     map.Insert(k, k + 1);

@@ -13,12 +13,6 @@ namespace {
 using IntMap = RpHashMap<std::uint64_t, std::uint64_t>;
 using StrMap = RpHashMap<std::string, std::string>;
 
-RpHashMapOptions NoAutoResize() {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
-}
-
 TEST(RpHashMapBasic, StartsEmpty) {
   IntMap map;
   EXPECT_TRUE(map.Empty());
@@ -136,7 +130,7 @@ TEST(RpHashMapBasic, ClearEmptiesMap) {
 }
 
 TEST(RpHashMapBasic, ManyKeysAllRetrievable) {
-  IntMap map(16, NoAutoResize());
+  IntMap map(16);
   constexpr std::uint64_t kN = 10000;
   for (std::uint64_t i = 0; i < kN; ++i) {
     ASSERT_TRUE(map.Insert(i, i * 3));
@@ -178,40 +172,12 @@ TEST(RpHashMapBasic, StringKeys) {
 }
 
 TEST(RpHashMapBasic, BucketCountRoundsToPowerOfTwo) {
-  IntMap map(100, NoAutoResize());
+  IntMap map(100);
   EXPECT_EQ(map.BucketCount(), 128u);
 }
 
-TEST(RpHashMapBasic, AutoResizeGrowsWithLoad) {
-  RpHashMapOptions options;
-  options.auto_resize = true;
-  options.max_load_factor = 2.0;
-  IntMap map(4, options);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    map.Insert(i, i);
-  }
-  EXPECT_GE(map.BucketCount(), 256u);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(map.Contains(i)) << i;
-  }
-}
-
-TEST(RpHashMapBasic, AutoResizeShrinksWhenDrained) {
-  RpHashMapOptions options;
-  options.auto_resize = true;
-  IntMap map(4, options);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    map.Insert(i, i);
-  }
-  const std::size_t grown = map.BucketCount();
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    map.Erase(i);
-  }
-  EXPECT_LT(map.BucketCount(), grown);
-}
-
 TEST(RpHashMapBasic, LoadFactorReflectsContents) {
-  IntMap map(128, NoAutoResize());
+  IntMap map(128);
   for (std::uint64_t i = 0; i < 256; ++i) {
     map.Insert(i, i);
   }

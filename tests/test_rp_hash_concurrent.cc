@@ -8,21 +8,17 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/resize_worker.h"
 #include "src/core/rp_hash_map.h"
 #include "src/rcu/epoch.h"
 #include "src/rcu/qsbr.h"
 #include "src/util/rng.h"
+#include "tests/worker_race.h"
 
 namespace rp::core {
 namespace {
 
 using IntMap = RpHashMap<std::uint64_t, std::uint64_t>;
-
-RpHashMapOptions NoAutoResize() {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
-}
 
 // Invariant: keys [0, kStable) are inserted before the threads start and
 // never removed; every lookup of a stable key must hit, no matter what the
@@ -70,7 +66,7 @@ class StableKeysFixture : public ::testing::Test {
 };
 
 TEST_F(StableKeysFixture, LookupsNeverMissDuringContinuousResize) {
-  IntMap map(64, NoAutoResize());
+  IntMap map(64);
   Populate(map);
   const std::uint64_t misses = RunReadersDuring(map, 6, [&] {
     for (int round = 0; round < 40; ++round) {
@@ -83,7 +79,7 @@ TEST_F(StableKeysFixture, LookupsNeverMissDuringContinuousResize) {
 }
 
 TEST_F(StableKeysFixture, LookupsNeverMissDuringChurningWrites) {
-  IntMap map(256, NoAutoResize());
+  IntMap map(256);
   Populate(map);
   const std::uint64_t misses = RunReadersDuring(map, 6, [&] {
     Xoshiro256 rng(7);
@@ -100,7 +96,7 @@ TEST_F(StableKeysFixture, LookupsNeverMissDuringChurningWrites) {
 }
 
 TEST_F(StableKeysFixture, LookupsNeverMissDuringWritesPlusResizes) {
-  IntMap map(64, NoAutoResize());
+  IntMap map(64);
   Populate(map);
   const std::uint64_t misses = RunReadersDuring(map, 4, [&] {
     std::thread resizer([&] {
@@ -123,28 +119,38 @@ TEST_F(StableKeysFixture, LookupsNeverMissDuringWritesPlusResizes) {
   EXPECT_EQ(misses, 0u);
 }
 
-TEST_F(StableKeysFixture, AutoResizeUnderConcurrentReaders) {
-  RpHashMapOptions options;
-  options.auto_resize = true;
-  options.max_load_factor = 1.0;
-  IntMap map(4, options);
+TEST_F(StableKeysFixture, WorkerResizesUnderConcurrentReaders) {
+  IntMap map(4);
   Populate(map);
+  ResizeWorkerOptions options = FastWorker();
+  options.grow_at = 1.0;
+  ResizeWorker<IntMap> worker(map, options);
+  std::uint64_t resizes = 0;
   const std::uint64_t misses = RunReadersDuring(map, 4, [&] {
-    // Grow then drain a disjoint key range; auto-resize triggers both ways.
+    // Grow then drain a disjoint key range, and let the worker bring the
+    // load factor back into its band each time: it resizes both ways
+    // while the readers run.
+    const std::uint64_t before = worker.ResizesPerformed();
     for (std::uint64_t i = 0; i < 20000; ++i) {
       map.Insert(kStable + i, i);
+      worker.Nudge();
     }
+    WaitUntil([&] { return map.LoadFactor() <= options.grow_at; });
     for (std::uint64_t i = 0; i < 20000; ++i) {
       map.Erase(kStable + i);
+      worker.Nudge();
     }
+    WaitUntil([&] { return map.LoadFactor() >= options.shrink_at; });
+    resizes = worker.ResizesPerformed() - before;
   });
   EXPECT_EQ(misses, 0u);
+  EXPECT_GE(resizes, 2u);  // at least one grow and one shrink
 }
 
 TEST_F(StableKeysFixture, MovedKeysAreAlwaysVisibleUnderSomeName) {
   // The atomic-move guarantee: while key k is being renamed to k', a
   // concurrent reader must find at least one of {k, k'}.
-  IntMap map(128, NoAutoResize());
+  IntMap map(128);
   Populate(map);
   constexpr std::uint64_t kMover = kStable + 1;
   constexpr std::uint64_t kMoverAlt = kStable + 2;
@@ -202,8 +208,7 @@ TEST_F(StableKeysFixture, MovedKeysAreAlwaysVisibleUnderSomeName) {
 TEST_F(StableKeysFixture, UpdateIsAtomicToReaders) {
   // Copy-update publishes a whole replacement node: a reader must see
   // either the old or the new value, never a mix. Encode value = (x, ~x).
-  RpHashMap<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> map(
-      64, NoAutoResize());
+  RpHashMap<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> map(64);
   map.Insert(1, {5, ~std::uint64_t{5}});
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn{0};
@@ -233,6 +238,7 @@ TEST_F(StableKeysFixture, UpdateIsAtomicToReaders) {
 
 TEST(RpHashMapConcurrent, ParallelWritersDisjointRanges) {
   IntMap map(1024);
+  ResizeWorker<IntMap> worker(map, FastWorker());
   constexpr int kWriters = 8;
   constexpr std::uint64_t kPerWriter = 2000;
   std::vector<std::thread> writers;
@@ -241,12 +247,20 @@ TEST(RpHashMapConcurrent, ParallelWritersDisjointRanges) {
       const std::uint64_t base = static_cast<std::uint64_t>(w) * kPerWriter;
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         ASSERT_TRUE(map.Insert(base + i, base + i));
+        worker.Nudge();
       }
+      // Rewrite the range until the worker has grown the table under us.
+      WriteUntilResized(worker, [&] {
+        for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+          map.InsertOrAssign(base + i, base + i);
+        }
+      });
     });
   }
   for (auto& t : writers) {
     t.join();
   }
+  EXPECT_GT(worker.ResizesPerformed(), 0u);
   EXPECT_EQ(map.Size(), kWriters * kPerWriter);
   for (std::uint64_t i = 0; i < kWriters * kPerWriter; ++i) {
     ASSERT_TRUE(map.Contains(i)) << i;
@@ -255,25 +269,31 @@ TEST(RpHashMapConcurrent, ParallelWritersDisjointRanges) {
 
 TEST(RpHashMapConcurrent, SizeNeverGoesNegativeUnderChurn) {
   IntMap map(64);
+  ResizeWorker<IntMap> resizer(map, FastWorker());
   std::vector<std::thread> workers;
   for (int w = 0; w < 8; ++w) {
     workers.emplace_back([&, w] {
       Xoshiro256 rng(w);
-      for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t key = rng.NextBounded(256);
-        if (rng.NextDouble() < 0.5) {
-          map.InsertOrAssign(key, key);
-        } else {
-          map.Erase(key);
+      WriteUntilResized(resizer, [&] {
+        for (int i = 0; i < 5000; ++i) {
+          const std::uint64_t key = rng.NextBounded(256);
+          if (rng.NextDouble() < 0.5) {
+            map.InsertOrAssign(key, key);
+          } else {
+            map.Erase(key);
+          }
+          resizer.Nudge();
+          // Size is approximate under concurrency but must stay sane.
+          EXPECT_LT(map.Size(), std::size_t{100000});
         }
-        // Size is approximate under concurrency but must stay sane.
-        EXPECT_LT(map.Size(), std::size_t{100000});
-      }
+      });
     });
   }
   for (auto& t : workers) {
     t.join();
   }
+  EXPECT_GT(resizer.ResizesPerformed(), 0u);
+  resizer.Stop();
   // After quiescence, Size must equal the actual element count.
   std::size_t counted = 0;
   map.ForEach([&](const std::uint64_t&, const std::uint64_t&) { ++counted; });

@@ -141,9 +141,7 @@ TEST(HashedApi, PlainOpsHashOnceHashedOpsNever) {
 }
 
 TEST(HashedApi, ResizeNeverRehashes) {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  CountingMap map(16, options);
+  CountingMap map(16);
   constexpr std::uint64_t kKeys = 256;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     ASSERT_TRUE(map.Insert(KeyName(i), i));
@@ -152,8 +150,8 @@ TEST(HashedApi, ResizeNeverRehashes) {
   const std::uint64_t before = CountingCalls();
   map.Resize(1024);  // several expand steps: every chain unzips
   map.Resize(16);    // several shrink steps: every chain concatenates
-  map.Expand();
-  map.Shrink();
+  map.Resize(map.BucketCount() * 2);
+  map.Resize(map.BucketCount() / 2);
   EXPECT_EQ(CountingCalls() - before, 0u)
       << "bucket moves must reuse Node::hash, never rehash the key";
 
@@ -168,9 +166,7 @@ TEST(HashedApi, ResizeNeverRehashes) {
 // reader race explicit resizes. Loops are op-bounded (not stop-flag-only)
 // so a 1-core scheduler cannot starve the finish line.
 TEST(HashedApi, PrehashedOpsRacingResizeTorture) {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  RpHashMap<std::string, std::uint64_t> map(16, options);
+  RpHashMap<std::string, std::uint64_t> map(16);
   constexpr std::uint64_t kKeySpace = 128;
 
   // Precompute the hashes once, as an engine would.
@@ -207,10 +203,10 @@ TEST(HashedApi, PrehashedOpsRacingResizeTorture) {
   });
   threads.emplace_back([&] {
     for (int i = 0; i < 30; ++i) {
-      map.Expand();
-      map.Expand();
-      map.Shrink();
-      map.Shrink();
+      map.Resize(map.BucketCount() * 2);
+      map.Resize(map.BucketCount() * 2);
+      map.Resize(map.BucketCount() / 2);
+      map.Resize(map.BucketCount() / 2);
     }
   });
   for (std::thread& t : threads) {

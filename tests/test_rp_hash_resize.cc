@@ -14,12 +14,6 @@ namespace {
 
 using IntMap = RpHashMap<std::uint64_t, std::uint64_t>;
 
-RpHashMapOptions NoAutoResize() {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
-}
-
 void FillMap(IntMap& map, std::uint64_t n) {
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(map.Insert(i, i * 7 + 1));
@@ -35,7 +29,7 @@ void ExpectAllPresent(const IntMap& map, std::uint64_t n) {
 }
 
 TEST(RpHashMapResize, ExpandPreservesContents) {
-  IntMap map(16, NoAutoResize());
+  IntMap map(16);
   FillMap(map, 1000);
   map.Resize(256);
   EXPECT_EQ(map.BucketCount(), 256u);
@@ -45,7 +39,7 @@ TEST(RpHashMapResize, ExpandPreservesContents) {
 }
 
 TEST(RpHashMapResize, ShrinkPreservesContents) {
-  IntMap map(256, NoAutoResize());
+  IntMap map(256);
   FillMap(map, 1000);
   map.Resize(16);
   EXPECT_EQ(map.BucketCount(), 16u);
@@ -55,7 +49,7 @@ TEST(RpHashMapResize, ShrinkPreservesContents) {
 }
 
 TEST(RpHashMapResize, ExpandOnEmptyMap) {
-  IntMap map(16, NoAutoResize());
+  IntMap map(16);
   map.Resize(64);
   EXPECT_EQ(map.BucketCount(), 64u);
   map.Insert(1, 2);
@@ -63,15 +57,15 @@ TEST(RpHashMapResize, ExpandOnEmptyMap) {
 }
 
 TEST(RpHashMapResize, ShrinkToMinimumBuckets) {
-  IntMap map(64, NoAutoResize());
+  IntMap map(64);
   FillMap(map, 100);
-  map.Resize(1);  // clamped to min_buckets (4)
-  EXPECT_EQ(map.BucketCount(), 4u);
+  map.Resize(1);  // every key in one chain
+  EXPECT_EQ(map.BucketCount(), 1u);
   ExpectAllPresent(map, 100);
 }
 
 TEST(RpHashMapResize, RepeatedExpandShrinkCycles) {
-  IntMap map(16, NoAutoResize());
+  IntMap map(16);
   FillMap(map, 500);
   for (int round = 0; round < 10; ++round) {
     map.Resize(512);
@@ -85,17 +79,17 @@ TEST(RpHashMapResize, RepeatedExpandShrinkCycles) {
 }
 
 TEST(RpHashMapResize, ExpandAndShrinkAreInverses) {
-  IntMap map(32, NoAutoResize());
+  IntMap map(32);
   FillMap(map, 333);
-  map.Expand();
+  map.Resize(map.BucketCount() * 2);
   EXPECT_EQ(map.BucketCount(), 64u);
-  map.Shrink();
+  map.Resize(map.BucketCount() / 2);
   EXPECT_EQ(map.BucketCount(), 32u);
   ExpectAllPresent(map, 333);
 }
 
 TEST(RpHashMapResize, MultiStepResizeJumpsFactors) {
-  IntMap map(8, NoAutoResize());
+  IntMap map(8);
   FillMap(map, 200);
   map.Resize(1024);  // 7 doublings in one call
   EXPECT_EQ(map.BucketCount(), 1024u);
@@ -106,7 +100,7 @@ TEST(RpHashMapResize, MultiStepResizeJumpsFactors) {
 }
 
 TEST(RpHashMapResize, NoOpResizeIsCheap) {
-  IntMap map(64, NoAutoResize());
+  IntMap map(64);
   FillMap(map, 10);
   const auto before = map.ResizeCount();
   map.Resize(64);
@@ -118,7 +112,7 @@ TEST(RpHashMapResize, NoOpResizeIsCheap) {
 }
 
 TEST(RpHashMapResize, ShrinkUsesExactlyOneGracePeriodPerHalving) {
-  IntMap map(256, NoAutoResize());
+  IntMap map(256);
   FillMap(map, 2000);
   map.Resize(128);
   EXPECT_EQ(map.LastResizeStats().grace_periods, 1u);
@@ -129,7 +123,7 @@ TEST(RpHashMapResize, ShrinkUsesExactlyOneGracePeriodPerHalving) {
 TEST(RpHashMapResize, ExpandGracePeriodsScaleWithRunsNotElements) {
   // With thousands of elements, unzip grace periods must stay tiny
   // (≈ max interleave-run count per chain), far below element count.
-  IntMap map(256, NoAutoResize());
+  IntMap map(256);
   FillMap(map, 4096);  // load factor 16 pre-expansion
   map.Resize(512);
   const ResizeStats stats = map.LastResizeStats();
@@ -140,7 +134,7 @@ TEST(RpHashMapResize, ExpandGracePeriodsScaleWithRunsNotElements) {
 }
 
 TEST(RpHashMapResize, StatsReportShape) {
-  IntMap map(16, NoAutoResize());
+  IntMap map(16);
   FillMap(map, 128);
   map.Resize(32);
   const ResizeStats stats = map.LastResizeStats();
@@ -151,7 +145,7 @@ TEST(RpHashMapResize, StatsReportShape) {
 }
 
 TEST(RpHashMapResize, InsertAfterResizeLandsInCorrectBucket) {
-  IntMap map(16, NoAutoResize());
+  IntMap map(16);
   FillMap(map, 100);
   map.Resize(64);
   for (std::uint64_t i = 1000; i < 1100; ++i) {
@@ -164,7 +158,7 @@ TEST(RpHashMapResize, InsertAfterResizeLandsInCorrectBucket) {
 }
 
 TEST(RpHashMapResize, EraseAfterResizeWorks) {
-  IntMap map(16, NoAutoResize());
+  IntMap map(16);
   FillMap(map, 200);
   map.Resize(128);
   for (std::uint64_t i = 0; i < 200; i += 2) {
@@ -198,10 +192,7 @@ TEST(RpHashMapResize, AlternatingHashMaximizesUnzipPasses) {
   struct IdentityHash {
     std::size_t operator()(const std::uint64_t& k) const { return k; }
   };
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  options.min_buckets = 2;
-  RpHashMap<std::uint64_t, std::uint64_t, IdentityHash> map(2, options);
+  RpHashMap<std::uint64_t, std::uint64_t, IdentityHash> map(2);
   // Keys 0,2,4,...: old bucket 0 of 2; new buckets alternate 0/2 mod 4.
   for (std::uint64_t i = 0; i < 32; ++i) {
     map.Insert(i * 2, i);
@@ -221,7 +212,7 @@ TEST(RpHashMapResize, QsbrDomainResizes) {
   rcu::Qsbr::RegisterThread();
   RpHashMap<std::uint64_t, std::uint64_t, MixedHash<std::uint64_t>,
             std::equal_to<std::uint64_t>, rcu::Qsbr>
-      map(16, NoAutoResize());
+      map(16);
   for (std::uint64_t i = 0; i < 500; ++i) {
     map.Insert(i, i);
   }

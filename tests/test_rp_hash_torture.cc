@@ -71,16 +71,10 @@ using TortureMap =
     RpHashMap<std::uint64_t, std::uint64_t, MixedHash<std::uint64_t>,
               std::equal_to<std::uint64_t>, DelayDomain>;
 
-RpHashMapOptions NoAutoResize() {
-  RpHashMapOptions options;
-  options.auto_resize = false;
-  return options;
-}
-
 // Readers hammer a stable key set through many slowed-down resizes. Any
 // missed key is an instant-consistency violation.
 TEST(RpHashTorture, StableKeysSurviveSlowMotionResizes) {
-  TortureMap map(8, NoAutoResize());
+  TortureMap map(8);
   constexpr std::uint64_t kKeys = 256;
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     map.Insert(k, k ^ 0xA5A5);
@@ -128,7 +122,7 @@ TEST(RpHashTorture, StableKeysSurviveSlowMotionResizes) {
 // always be found, erased keys must stay erased, and the final state must
 // be exact.
 TEST(RpHashTorture, UpdatesInterleavedWithSlowResizes) {
-  TortureMap map(16, NoAutoResize());
+  TortureMap map(16);
   constexpr std::uint64_t kStable = 128;
   constexpr std::uint64_t kVolatile = 128;
   for (std::uint64_t k = 0; k < kStable; ++k) {
@@ -189,7 +183,7 @@ TEST(RpHashTorture, UpdatesInterleavedWithSlowResizes) {
 // ForEach during slowed resizes: every stable key appears at least once per
 // scan (imprecise buckets may yield duplicates, never omissions).
 TEST(RpHashTorture, ForEachNeverOmitsDuringSlowResizes) {
-  TortureMap map(8, NoAutoResize());
+  TortureMap map(8);
   constexpr std::uint64_t kKeys = 200;
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     map.Insert(k, k);
@@ -231,9 +225,7 @@ TEST(RpHashTorture, ForEachNeverOmitsDuringSlowResizes) {
 // path: writer/writer exclusion per stripe, writer/resize exclusion via
 // all-stripe acquisition, erase-path reclamation fully deferred.
 TEST(RpHashTorture, ConcurrentWritersRacingBackgroundResizeWorker) {
-  RpHashMapOptions options;
-  options.auto_resize = false;  // the worker owns resize policy
-  TortureMap map(16, options);
+  TortureMap map(16);
 
   constexpr std::uint64_t kStable = 128;
   for (std::uint64_t k = 0; k < kStable; ++k) {
@@ -321,7 +313,7 @@ TEST(RpHashTorture, SyncReclaimerPolicyUnderResizes) {
       RpHashMap<std::uint64_t, std::uint64_t, MixedHash<std::uint64_t>,
                 std::equal_to<std::uint64_t>, DelayDomain,
                 rcu::SyncReclaimer<DelayDomain>>;
-  SyncMap map(8, NoAutoResize());
+  SyncMap map(8);
   for (std::uint64_t k = 0; k < 200; ++k) {
     map.Insert(k, k);
   }

@@ -39,9 +39,7 @@ TYPED_TEST(HashMapDomainTyped, ResizeUnderConcurrentReaders) {
   using Map = core::RpHashMap<std::uint64_t, std::uint64_t,
                               core::MixedHash<std::uint64_t>,
                               std::equal_to<std::uint64_t>, Domain>;
-  core::RpHashMapOptions options;
-  options.auto_resize = false;
-  Map map(16, options);
+  Map map(16);
   constexpr std::uint64_t kKeys = 512;
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     map.Insert(k, k * 7);
