@@ -16,7 +16,9 @@
 //     "unzips" them, one pointer swing per chain per pass, with one
 //     wait-for-readers between passes. All chains unzip in parallel, so the
 //     number of grace periods is the maximum number of key-runs in any
-//     chain, not the number of elements.
+//     chain, not the number of elements. Writers are locked out of a resize,
+//     so one walk of each chain plans every swing before the first
+//     wait-for-readers, and each pass afterwards only stores its swings.
 //   * Updates run under striped per-bucket writer locks: writers touching
 //     different stripes proceed in parallel; a resize takes every stripe (in
 //     index order) and so still excludes all other updates. Writers do all
@@ -875,22 +877,83 @@ class RpHashMap {
     resize_count_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // One doubling, by chain unzipping (paper section "Expanding").
+  // Resize walks chains in index order, and their head nodes are its cache
+  // misses: prefetch the head of chain i + kPrefetchChains, if below `end`.
+  static constexpr std::size_t kPrefetchChains = 16;
+  static void PrefetchChainAhead(const BucketArray* t, std::size_t i,
+                                 std::size_t end) {
+    if (i + kPrefetchChains < end) {
+      __builtin_prefetch(
+          t->bucket(i + kPrefetchChains).load(std::memory_order_relaxed));
+    }
+  }
+
+  // One doubling, by chain unzipping (paper section "Expanding"). Old chain
+  // i splits into new buckets i and i + old_size on hash bit old_size. Read
+  // as runs R1..Rr that alternate between the two, it unzips in r - 1
+  // passes: pass k aims end(Rk)->next at head(Rk+2), or at null past the
+  // last run, and a grace period separates consecutive passes. Writers are
+  // excluded for the whole resize, so the chains are frozen and every swing
+  // is known before the first grace period: one walk plans them all, and a
+  // pass only stores its planned swings.
   void ExpandStep(ResizeStats& stats) {
     BucketArray* old_table = table_.load(std::memory_order_relaxed);
     const std::size_t old_size = old_table->size;
     BucketArray* new_table = BucketArray::Create(old_size * 2);
 
-    // Step 1: point every new bucket at the first entry of the matching old
-    // chain that belongs to it. Chains start "zipped": complete but
-    // imprecise, which readers tolerate by key comparison.
-    for (std::size_t b = 0; b < new_table->size; ++b) {
-      Node* node = old_table->bucket(b & old_table->mask).load(std::memory_order_relaxed);
-      while (node != nullptr && (node->hash & new_table->mask) != b) {
-        node = node->next.load(std::memory_order_relaxed);
+    // Step 1: walk each old chain once. Point both new buckets at their
+    // first node in it: chains start "zipped", complete but imprecise,
+    // which readers tolerate by key comparison. The new table is private
+    // until published: plain stores suffice. And plan the unzip: plan[k]
+    // holds pass k + 1's swings across all chains. A swing aims `link`, the
+    // next pointer of a run's last node, at `target`.
+    struct Swing {
+      std::atomic<Node*>* link;
+      Node* target;
+    };
+    std::vector<std::vector<Swing>> plan;
+    const auto plan_swing = [&plan](std::size_t pass, Node* run_end,
+                                    Node* target) {
+      if (plan.size() <= pass) {
+        plan.resize(pass + 1);
       }
-      // The new table is private until published: plain stores suffice.
-      new_table->bucket(b).store(node, std::memory_order_relaxed);
+      plan[pass].push_back(Swing{&run_end->next, target});
+    };
+    for (std::size_t i = 0; i < old_size; ++i) {
+      PrefetchChainAhead(old_table, i, old_size);
+      Node* node = old_table->bucket(i).load(std::memory_order_relaxed);
+      if (node == nullptr) {
+        continue;
+      }
+      bool high = (node->hash & old_size) != 0;
+      new_table->bucket(i | (high ? old_size : 0))
+          .store(node, std::memory_order_relaxed);
+      // The last node of the latest finished run on each side.
+      Node* run_end[2] = {nullptr, nullptr};
+      std::size_t runs = 1;
+      for (Node* next = node->next.load(std::memory_order_relaxed);
+           next != nullptr;
+           node = next, next = next->next.load(std::memory_order_relaxed)) {
+        if (((next->hash & old_size) != 0) == high) {
+          continue;
+        }
+        // `node` ends run R(runs) and `next` starts R(runs + 1). Pass
+        // runs - 1 swings end(R(runs - 1)), on next's side, to `next`; with
+        // no such run, `next` heads its new bucket.
+        if (run_end[!high] != nullptr) {
+          plan_swing(runs - 2, run_end[!high], next);
+        } else {
+          new_table->bucket(i | (high ? 0 : old_size))
+              .store(next, std::memory_order_relaxed);
+        }
+        run_end[high] = node;
+        high = !high;
+        ++runs;
+      }
+      if (run_end[!high] != nullptr) {
+        // Pass r - 1 ends the other bucket: end(R(r - 1)) to null.
+        plan_swing(runs - 2, run_end[!high], nullptr);
+      }
     }
 
     // Step 2: publish. From here on, new readers use the new buckets.
@@ -900,62 +963,22 @@ class RpHashMap {
     Domain::Synchronize();
     ++stats.grace_periods;
 
-    // Step 4: unzip. cursor[i] tracks the first node of the next still-
-    // zipped run in old chain i; one pointer swing per chain per pass, one
-    // wait-for-readers per pass. The grace period guarantees that readers
-    // present during pass k+1 entered after pass k's swings, so no reader
-    // can be parked on a link a swing is about to retarget away from its
-    // remaining nodes.
-    std::vector<Node*> cursor(old_size);
-    for (std::size_t i = 0; i < old_size; ++i) {
-      cursor[i] = old_table->bucket(i).load(std::memory_order_relaxed);
-    }
-
-    const std::size_t new_mask = new_table->mask;
-    for (;;) {
-      bool advanced = false;
-      for (std::size_t i = 0; i < old_size; ++i) {
-        Node* p = cursor[i];
-        if (p == nullptr) {
-          continue;  // chain fully unzipped
-        }
-        // Walk to the end of p's run (consecutive nodes of one new bucket).
-        const std::size_t run_bucket = p->hash & new_mask;
-        Node* next = p->next.load(std::memory_order_relaxed);
-        while (next != nullptr && (next->hash & new_mask) == run_bucket) {
-          p = next;
-          next = p->next.load(std::memory_order_relaxed);
-        }
-        if (next == nullptr) {
-          cursor[i] = nullptr;  // suffix is pure: chain done
-          continue;
-        }
-        // `next` starts the sibling's run; find the first node after it
-        // that returns to p's bucket.
-        Node* skip_to = next->next.load(std::memory_order_relaxed);
-        while (skip_to != nullptr && (skip_to->hash & new_mask) != run_bucket) {
-          skip_to = skip_to->next.load(std::memory_order_relaxed);
-        }
-        // Swing p past the sibling run. Readers of p's bucket keep every
-        // node they need (their remainder starts at skip_to); readers of
-        // the sibling bucket entered at or after `next` and are unaffected.
-        p->next.store(skip_to, std::memory_order_release);
-        ++stats.pointer_swings;
-        if (skip_to == nullptr) {
-          // Nothing of p's bucket remains beyond the sibling run, so the
-          // suffix from `next` on is pure sibling: chain fully unzipped.
-          cursor[i] = nullptr;
-        } else {
-          cursor[i] = next;  // unzip the sibling run next pass
-          advanced = true;
-        }
+    // Step 4: unzip, one planned pass at a time. The grace period before
+    // pass k + 1 guarantees that readers present during it entered after
+    // pass k's swings, so no reader can be parked on a link a swing is
+    // about to retarget away from its remaining nodes. A swing keeps every
+    // node its own bucket's readers need (their remainder starts at the
+    // target); the sibling's readers entered at or after the skipped run.
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+      if (k > 0) {
+        ++stats.unzip_passes;
+        Domain::Synchronize();
+        ++stats.grace_periods;
       }
-      if (!advanced) {
-        break;
+      for (const Swing& swing : plan[k]) {
+        swing.link->store(swing.target, std::memory_order_release);
       }
-      ++stats.unzip_passes;
-      Domain::Synchronize();
-      ++stats.grace_periods;
+      stats.pointer_swings += plan[k].size();
     }
 
     // Step 5: the old bucket array is unreachable since the first grace
@@ -976,6 +999,7 @@ class RpHashMap {
     // readers of j+new_size are untouched. Then aim the new bucket at the
     // combined chain.
     for (std::size_t j = 0; j < new_size; ++j) {
+      PrefetchChainAhead(old_table, j, new_size);
       Node* lo_head = old_table->bucket(j).load(std::memory_order_relaxed);
       Node* hi_head =
           old_table->bucket(j + new_size).load(std::memory_order_relaxed);

@@ -419,10 +419,16 @@ TEST(RpEngineSpecific, GetsScaleWhileSettersRun) {
   std::thread reader([&] {
     StoredValue out;
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(engine.Get("hot", &out));
+      const bool hit = engine.Get("hot", &out);
       gets.fetch_add(1, std::memory_order_relaxed);
+      ASSERT_TRUE(hit);
     }
   });
+  // Start the storm only once the reader runs: on a loaded machine the
+  // SETs below can otherwise finish before the reader is scheduled at all.
+  while (gets.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < 20000; ++i) {
     engine.Set("churn-" + std::to_string(i % 64), "x", 0, 0);
   }

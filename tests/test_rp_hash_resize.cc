@@ -2,8 +2,10 @@
 // (concatenation), instrumentation, and correctness across size sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "src/core/rp_hash_map.h"
 #include "src/rcu/epoch.h"
@@ -185,14 +187,17 @@ TEST(RpHashMapResize, ExpandWithOneBucketHashStillCorrect) {
   }
 }
 
+// Identity hash: a key's low bits are its bucket, so a test lays out its
+// chains exactly.
+struct IdentityHash {
+  std::size_t operator()(const std::uint64_t& k) const { return k; }
+};
+using IdentityMap = RpHashMap<std::uint64_t, std::uint64_t, IdentityHash>;
+
 TEST(RpHashMapResize, AlternatingHashMaximizesUnzipPasses) {
-  // Identity-style hash with alternating low bit: elements in one old
-  // bucket alternate strictly between the two new buckets, forcing one
-  // unzip pass per element pair — the worst-case pass count.
-  struct IdentityHash {
-    std::size_t operator()(const std::uint64_t& k) const { return k; }
-  };
-  RpHashMap<std::uint64_t, std::uint64_t, IdentityHash> map(2);
+  // Elements in one old bucket alternate strictly between the two new
+  // buckets: 32 runs of one node, the worst-case pass count.
+  IdentityMap map(2);
   // Keys 0,2,4,...: old bucket 0 of 2; new buckets alternate 0/2 mod 4.
   for (std::uint64_t i = 0; i < 32; ++i) {
     map.Insert(i * 2, i);
@@ -202,10 +207,95 @@ TEST(RpHashMapResize, AlternatingHashMaximizesUnzipPasses) {
   for (std::uint64_t i = 0; i < 32; ++i) {
     EXPECT_TRUE(map.Contains(i * 2));
   }
-  // Head-insertion reverses order but alternation is preserved: expect many
-  // passes (≈ half the chain), validating the per-pass grace periods.
-  EXPECT_GT(stats.unzip_passes, 8u);
+  // r runs cost r - 2 passes, r - 1 swings and r - 1 grace periods (the
+  // first before any swing, then one between consecutive passes).
+  EXPECT_EQ(stats.unzip_passes, 30u);
+  EXPECT_EQ(stats.pointer_swings, 31u);
+  EXPECT_EQ(stats.grace_periods, 31u);
   EXPECT_TRUE(map.BucketsArePrecise());
+}
+
+// Keys of old chain `chain` (0 or 1 of 2 buckets), head first, laid out as
+// runs of the given lengths that alternate between new buckets `chain`
+// and `chain + 2` of 4. Chain 0 starts in its low bucket, chain 1 in its
+// high one.
+std::vector<std::uint64_t> ChainOfRuns(std::uint64_t chain,
+                                       const std::vector<std::size_t>& runs) {
+  std::vector<std::uint64_t> keys;
+  std::uint64_t m = 0;
+  for (std::size_t j = 0; j < runs.size(); ++j) {
+    const std::uint64_t high = (j + chain) % 2;
+    for (std::size_t n = 0; n < runs[j]; ++n) {
+      keys.push_back(4 * m++ + chain + 2 * high);
+    }
+  }
+  return keys;
+}
+
+// Expands a 2-bucket table whose two chains hold the given runs, and checks
+// the unzip against the run counts: r runs cost r - 2 passes, r - 1 swings
+// and r - 1 grace periods, passes run in parallel across chains, and each
+// new bucket keeps its keys in the old chain's order.
+void ExpectUnzipOf(const std::vector<std::size_t>& runs0,
+                   const std::vector<std::size_t>& runs1) {
+  const std::vector<std::uint64_t> chains[2] = {ChainOfRuns(0, runs0),
+                                                ChainOfRuns(1, runs1)};
+  IdentityMap map(2);
+  for (const auto& chain : chains) {
+    // Inserts go to the head: insert in reverse to read the chain in order.
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      ASSERT_TRUE(map.Insert(*it, *it));
+    }
+  }
+  map.Resize(4);
+  const ResizeStats stats = map.LastResizeStats();
+  const std::size_t r = std::max(runs0.size(), runs1.size());
+  const auto swings = [](const std::vector<std::size_t>& runs) {
+    return runs.empty() ? 0 : runs.size() - 1;
+  };
+  EXPECT_EQ(stats.unzip_passes, r > 2 ? r - 2 : 0);
+  EXPECT_EQ(stats.pointer_swings, swings(runs0) + swings(runs1));
+  EXPECT_EQ(stats.grace_periods, r > 2 ? r - 1 : 1);
+  EXPECT_TRUE(map.BucketsArePrecise());
+
+  // ForEach walks buckets 0..3 in order, each chain head first.
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t bucket = 0; bucket < 4; ++bucket) {
+    for (std::uint64_t key : chains[bucket % 2]) {
+      if ((key & 3) == bucket) {
+        expected.push_back(key);
+      }
+    }
+  }
+  std::vector<std::uint64_t> seen;
+  map.ForEach(
+      [&](const std::uint64_t& k, const std::uint64_t&) { seen.push_back(k); });
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(RpHashMapResize, UnzipOfOneRun) {
+  ExpectUnzipOf({3}, {});
+  ExpectUnzipOf({1}, {2});
+}
+
+TEST(RpHashMapResize, UnzipOfTwoRuns) {
+  ExpectUnzipOf({2, 3}, {1});
+  ExpectUnzipOf({1, 1}, {4, 2});
+}
+
+TEST(RpHashMapResize, UnzipOfThreeRuns) {
+  ExpectUnzipOf({1, 2, 1}, {2, 2});
+  ExpectUnzipOf({3}, {2, 1, 3});
+}
+
+TEST(RpHashMapResize, UnzipOfFourRuns) {
+  ExpectUnzipOf({3, 1, 1, 2}, {});
+  ExpectUnzipOf({1, 1, 1, 1}, {2, 3, 1, 2});
+}
+
+TEST(RpHashMapResize, UnzipOfSevenRuns) {
+  ExpectUnzipOf({1, 2, 3, 1, 2, 1, 2}, {2, 1, 1});
+  ExpectUnzipOf({4}, {1, 1, 2, 1, 3, 1, 1});
 }
 
 TEST(RpHashMapResize, QsbrDomainResizes) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -215,6 +216,131 @@ TEST(RpHashTorture, ForEachNeverOmitsDuringSlowResizes) {
   stop.store(true, std::memory_order_relaxed);
   scanner.join();
   EXPECT_EQ(omissions.load(), 0u);
+}
+
+// RcuDomain decorator that calls a test's hook around each grace period:
+// hook(false) before Epoch's wait, hook(true) after it. An expand runs one
+// grace period before each unzip pass, so the hook can step a reader
+// through the unzip one pass at a time. Only the resizing thread calls it.
+struct SteppedDomain {
+  static void ReadLock() { rcu::Epoch::ReadLock(); }
+  static void ReadUnlock() { rcu::Epoch::ReadUnlock(); }
+
+  static void Synchronize() {
+    if (hook) {
+      hook(false);
+    }
+    rcu::Epoch::Synchronize();
+    if (hook) {
+      hook(true);
+    }
+  }
+
+  template <typename T>
+  static void Retire(T* ptr) {
+    rcu::Epoch::Retire(ptr);
+  }
+  static void Barrier() { rcu::Epoch::Barrier(); }
+  static std::uint64_t GracePeriodCount() {
+    return rcu::Epoch::GracePeriodCount();
+  }
+
+  static inline std::function<void(bool)> hook;
+};
+static_assert(rcu::RcuDomain<SteppedDomain>);
+
+// A reader parked in a sibling run across every pass of a many-run unzip.
+// The old chain reads as runs R1..R16 of two nodes each that alternate
+// between new buckets 0 and 2. Right after grace period k, a scanner
+// follows the still-zipped link end(Rk) -> head(Rk+1) into the sibling run
+// and parks there while pass k lands. Its own bucket's next run, Rk+2, is
+// reachable only through end(Rk+1), which pass k + 1 swings past Rk+2. So
+// pass k + 1 must wait for the scanner: the next grace period releases it
+// before waiting, and the scanner must then step from end(Rk+1) to
+// head(Rk+2). A pass applied early, or a grace period left out, shows as
+// a scanner that steps past Rk+2.
+TEST(RpHashTorture, ParkedReaderSurvivesEveryUnzipPass) {
+  struct IdentityHash {
+    std::size_t operator()(const std::uint64_t& k) const { return k; }
+  };
+  using SteppedMap = RpHashMap<std::uint64_t, std::uint64_t, IdentityHash,
+                               std::equal_to<std::uint64_t>, SteppedDomain>;
+  constexpr std::uint64_t kRuns = 16;
+  constexpr std::uint64_t kRunLength = 2;
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  // Node m of old chain 0 of 2 lies in run R(m / kRunLength + 1); odd runs
+  // go to new bucket 0 of 4, even runs to bucket 2.
+  const auto key_of = [](std::uint64_t m) {
+    return 4 * m + 2 * (m / kRunLength % 2);
+  };
+  const auto head = [&](std::uint64_t run) {
+    return key_of((run - 1) * kRunLength);
+  };
+  const auto end = [&](std::uint64_t run) {
+    return key_of(run * kRunLength - 1);
+  };
+
+  SteppedMap map(2);
+  // Inserts go to the head: insert in reverse to read the chain in order.
+  for (std::uint64_t m = kRuns * kRunLength; m-- > 0;) {
+    ASSERT_TRUE(map.Insert(key_of(m), m));
+  }
+
+  // stepped_to[k]: the key the scanner parked after grace period k visited
+  // right after end(Rk+1).
+  std::vector<std::uint64_t> stepped_to(kRuns - 1, kNone);
+  std::uint64_t grace_periods = 0;
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  std::thread scanner;
+  const auto release_scanner = [&] {
+    if (scanner.joinable()) {
+      release.store(true);
+      scanner.join();
+    }
+  };
+  SteppedDomain::hook = [&](bool waited) {
+    if (!waited) {
+      release_scanner();
+      return;
+    }
+    const std::uint64_t k = ++grace_periods;
+    if (k + 2 > kRuns) {
+      return;  // pass k + 1 ends the chain: there is no Rk+2 to lose
+    }
+    parked.store(false);
+    release.store(false);
+    scanner = std::thread([&, k] {
+      std::uint64_t prev = kNone;
+      bool parked_here = false;
+      map.ForEach([&](const std::uint64_t& key, const std::uint64_t&) {
+        if (parked_here && prev == end(k + 1) && stepped_to[k] == kNone) {
+          stepped_to[k] = key;
+        }
+        if (!parked_here && prev == end(k) && key == head(k + 1)) {
+          parked_here = true;
+          parked.store(true);
+          while (!release.load()) {
+            std::this_thread::yield();
+          }
+        }
+        prev = key;
+      });
+      parked.store(true);  // a scan that never parked must not hang the hook
+    });
+    while (!parked.load()) {
+      std::this_thread::yield();
+    }
+  };
+  map.Resize(4);
+  release_scanner();
+  SteppedDomain::hook = nullptr;
+
+  for (std::uint64_t k = 1; k + 2 <= kRuns; ++k) {
+    EXPECT_EQ(stepped_to[k], head(k + 2)) << "pass " << k;
+  }
+  EXPECT_EQ(map.LastResizeStats().unzip_passes, kRuns - 2);
+  EXPECT_TRUE(map.BucketsArePrecise());
 }
 
 // Multi-writer configuration: several writers hammer the striped update
